@@ -66,6 +66,8 @@ def _geodesic_matrix_of(space, pts):
     dm = np.asarray(pts, dtype=float)
     if dm.ndim != 2 or dm.shape[0] != dm.shape[1]:
         raise DomainError("distance matrix must be square")
+    if not np.all(np.isfinite(dm)):
+        raise DomainError("distance matrix entries must be finite")
     if dm.size and (dm.min() < -1e-12 or dm.max() > math.pi + 1e-9):
         raise DomainError("distance matrix entries must lie in [0, pi] (radians)")
     if dm.size and np.max(np.abs(dm - dm.T)) > 1e-9:
@@ -117,6 +119,12 @@ def discrepancy_series(space: SpaceSpec, pts, measure: RadiusMeasure = None,
     Pairs at very small angles are evaluated at a relaxed per-pair tolerance
     (the series cannot certify fixed absolute accuracy as theta -> 0); their
     contribution to the total stays negligible.
+
+    Each pair value is accepted by ``symdiff_series`` through a tail
+    certificate, two stable refinements, or the relaxed check at the term
+    cap.  Only under the canonical measure is the tail exact and the first
+    path a certificate; under a point-mass measure the tail is an
+    extrapolated 1/l^2 estimate, so the total is an estimate too.
     """
     if measure is None:
         measure = RadiusMeasure.canonical()
@@ -196,18 +204,6 @@ def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
     return McEstimate(value, stderr, int(samples), int(seed))
 
 
-_GL64 = np.polynomial.legendre.leggauss(64)
-
-
-def _radius_rule(measure: RadiusMeasure):
-    """Nodes and weights integrating f(r) against the measure on [0, pi]."""
-    if measure.kind == "sine":
-        x, w = _GL64
-        r = (x + 1) * (math.pi / 2)
-        return r, (math.pi / 2) * w * np.sin(r)
-    return np.asarray(measure.nodes, float), np.asarray(measure.weights, float)
-
-
 def symdiff_direct(space: SpaceSpec, x, y, measure: RadiusMeasure = None,
                    mc_samples: int = 100_000, rng: np.random.Generator = None,
                    seed: int = 0) -> McEstimate:
@@ -224,9 +220,8 @@ def symdiff_direct(space: SpaceSpec, x, y, measure: RadiusMeasure = None,
         raise DomainError("need at least 2 samples for a standard error")
     xd = x.data if isinstance(x, Point) else Point(space, np.asarray(x, float)).data
     yd = y.data if isinstance(y, Point) else Point(space, np.asarray(y, float)).data
-    r_nodes, r_weights = _radius_rule(measure)
-    v = ball_volume(space, r_nodes) if r_nodes.size else np.zeros(0)
-    const = float(np.dot(r_weights, v)) if r_nodes.size else 0.0
+    r_nodes, r_weights = measure.rule()
+    const = float(np.dot(r_weights, ball_volume(space, r_nodes)))
     pair = np.stack([xd, yd])
     gvals = np.empty(int(mc_samples))
     done = 0

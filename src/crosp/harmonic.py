@@ -1,14 +1,23 @@
 """Zonal spherical functions and metric expansions on Q(d, d0).
 
 The chordal and symmetric-difference metrics expand in the zonal functions
-phi_l with positive coefficient sequences decaying like 1/l^2.  Series
-evaluation combines three ingredients validated against closed forms:
+phi_l -- normalized Jacobi polynomials of cos(theta) -- with positive
+coefficients decaying like 1/l^2.  Each ingredient is coded once:
 
-* an exact telescoped tail for the coefficient sums (the summand is a
-  hypergeometric term with an explicit antidifference),
-* window averaging of the oscillatory partial sums over one Jacobi
-  oscillation period in the degree,
-* a two-stage adaptive acceptance rule with a hard cap of 10^4 terms.
+* the Jacobi three-term recurrence (``specfun.jacobi_rows``);
+* one vectorized log-formula each for the level weights m_l, the chordal
+  coefficients c_l and the canonical radial weights a_l, shared by the
+  scalar functions and the cached table ``expansion_coeffs``;
+* the radius quadrature rule of each measure (``RadiusMeasure.rule``).
+
+The series engine sums sum_l t_l (1 - phi_l(theta)) for many angles at
+once as [head + tail] - [window average of the oscillatory partial sums
+over one Jacobi oscillation period in the degree].  At fixed checkpoints
+every open angle is tested, with array masks, for three acceptance paths:
+a coefficient-tail certificate, two consecutive stable refinements, or a
+relaxed check at the hard cap of 10^4 terms.  For the canonical measure the
+tail is exact (a telescoped antidifference), so the first path is a
+certificate; for point-mass measures it is an extrapolated 1/l^2 estimate.
 
 Also houses the squared-Jacobi weighted integrals and their alternating-sum
 and Pochhammer-quotient closed forms, including the corrected form of the
@@ -17,6 +26,7 @@ closed-form reduction (see ``leibniz_closed``).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +36,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
-from .spaces import RadiusMeasure, SpaceSpec, gamma_const
-from .specfun import beta, gauss_jacobi, jacobi_at_one, jacobi_eval, rising, falling
+from .spaces import RadiusMeasure, SpaceSpec, ball_volume, gamma_const
+from .specfun import (beta, gauss_jacobi, jacobi_at_one, jacobi_eval, jacobi_rows, rising,
+                      falling)
 
 __all__ = [
     "ExpansionCoeffs",
@@ -48,7 +59,7 @@ __all__ = [
 ]
 
 SERIES_CAP = 10_000
-_CHECKPOINTS = (156, 312, 625, 1250, 2500, 5000, 10000)
+_CHECKPOINTS = frozenset((156, 312, 625, 1250, 2500, 5000, SERIES_CAP))
 
 
 def _jacobi_params(space: SpaceSpec):
@@ -59,7 +70,7 @@ def zonal_phi(space: SpaceSpec, l: int, theta: float) -> float:
     """Zonal function phi_l: the normalized Jacobi polynomial of cos(theta)."""
     if l < 0 or l != int(l):
         raise DomainError(f"zonal level must be a nonnegative integer, got {l}")
-    if theta < 0 or theta > math.pi:
+    if not 0 <= theta <= math.pi:
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
     if l == 0:
         return 1.0
@@ -68,43 +79,25 @@ def zonal_phi(space: SpaceSpec, l: int, theta: float) -> float:
     return min(1.0, max(-1.0, val))
 
 
-def level_weight(space: SpaceSpec, l: int) -> float:
-    """Weight of the degree-l eigenspace in the chordal expansion."""
-    if l < 1 or l != int(l):
-        raise DomainError(f"level must be a positive integer, got {l}")
+# ---------------------------------------------------------------------------
+# expansion coefficients: one formula each, elementwise in the level
+
+
+def _log_level_weight(space, ls):
+    """log m_l: weight of the degree-l eigenspace in the chordal expansion."""
     d, d0 = space.d, space.d0
     s = (d + d0) / 2
-    return (2 * l - 1 + s) * math.exp(
-        math.lgamma(l + 1) + math.lgamma(l - 1 + s)
-        - math.lgamma(l + d / 2) - math.lgamma(l + d0 / 2)
-    )
+    return (np.log(2 * ls - 1 + s) + gammaln(ls + 1) + gammaln(ls - 1 + s)
+            - gammaln(ls + d / 2) - gammaln(ls + d0 / 2))
 
 
-def chordal_coeff(space: SpaceSpec, l: int) -> float:
-    """Degree-l coefficient of the chordal-metric expansion.
-
-    Evaluated by two routes (a beta-function product and a pure gamma
-    quotient) that must agree; disagreement raises a consistency error.
-    """
-    if l < 1 or l != int(l):
-        raise DomainError(f"level must be a positive integer, got {l}")
+def _log_chordal_coeff(space, ls):
+    """log c_l: degree-l coefficient of the chordal metric (gamma quotient)."""
     d, d0 = space.d, space.d0
-    a = d / 2 - 1
-    route_a = (beta((d + 1) / 2, l + d0 / 2)
-               * math.exp(math.lgamma(l - 0.5) - math.lgamma(0.5))
-               * jacobi_at_one(l, a) / math.gamma(l + 1)
-               if l < 160 else None)
-    log_b = (-2 * math.lgamma(l + 1)
-             + math.lgamma(l - 0.5) - math.lgamma(0.5)
-             + math.lgamma((d + 1) / 2) + math.lgamma(l + d / 2)
-             + math.lgamma(l + d0 / 2)
-             - math.lgamma(l + (d + d0 + 1) / 2) - math.lgamma(d / 2))
-    route_b = math.exp(log_b)
-    if route_a is not None and abs(route_a - route_b) > 1e-11 * abs(route_b):
-        raise ConsistencyError(
-            f"chordal coefficient routes disagree at l={l}: {route_a} vs {route_b}"
-        )
-    return route_b
+    return (gammaln((d + 1) / 2) + gammaln(ls + d0 / 2)
+            - gammaln(ls + (d + d0 + 1) / 2)
+            + gammaln(ls - 0.5) - gammaln(0.5)
+            + gammaln(d / 2 + ls) - 2 * gammaln(ls + 1) - gammaln(d / 2))
 
 
 def _log_poch_ratio(n, alpha, beta_):
@@ -114,47 +107,61 @@ def _log_poch_ratio(n, alpha, beta_):
             - gammaln(alpha + beta_ + 1.5 + n) + gammaln(alpha + beta_ + 1.5))
 
 
-def radial_weight(space: SpaceSpec, l: int, measure: RadiusMeasure) -> float:
-    """Radial weight of degree l: squared-Jacobi integral against the measure.
+def _radial_weights(space, measure, L):
+    """a_1, ..., a_L: squared-Jacobi integrals against the radius measure.
 
     The canonical sine measure admits a closed form; point-mass measures are
     summed directly.
     """
-    if l < 1 or l != int(l):
-        raise DomainError(f"level must be a positive integer, got {l}")
     d, d0 = space.d, space.d0
     if measure.kind == "sine":
-        n = l - 1
-        log_a = (math.log(2.0)
-                 + math.lgamma(l - 0.5) - math.lgamma(0.5) - 2 * math.lgamma(l)
-                 + math.lgamma(d + 1) + math.lgamma(d0 + 1) - math.lgamma(d + d0 + 2)
-                 + float(_log_poch_ratio(n, d / 2, d0 / 2)))
-        return math.exp(log_a)
-    nodes = np.asarray(measure.nodes, float)
-    weights = np.asarray(measure.weights, float)
-    if nodes.size == 0:
-        return 0.0
-    p = _jacobi_on_grid(l - 1, d / 2, d0 / 2, np.cos(nodes))
-    integrand = p**2 * np.sin(nodes / 2) ** (2 * d) * np.cos(nodes / 2) ** (2 * d0)
-    return float(np.dot(weights, integrand))
+        ls = np.arange(1, L + 1, dtype=float)
+        return np.exp(math.log(2.0) + gammaln(ls - 0.5) - gammaln(0.5) - 2 * gammaln(ls)
+                      + gammaln(d + 1) + gammaln(d0 + 1) - gammaln(d + d0 + 2)
+                      + _log_poch_ratio(ls - 1, d / 2, d0 / 2))
+    nodes, weights = measure.rule()
+    w_geom = np.sin(nodes / 2) ** (2 * d) * np.cos(nodes / 2) ** (2 * d0)
+    rows = itertools.islice(jacobi_rows(d / 2, d0 / 2, np.cos(nodes)), L)
+    return np.array([np.dot(weights, p**2 * w_geom) for p in rows], dtype=float)
 
 
-def _jacobi_on_grid(n, a, b, t):
-    """P_n^{(a,b)} on an array of abscissas by the three-term recurrence."""
-    t = np.asarray(t, float)
-    if n == 0:
-        return np.ones_like(t)
-    p_prev = np.ones_like(t)
-    p_cur = (a + 1) + (a + b + 2) * (t - 1) / 2
-    for m in range(2, n + 1):
-        ab = a + b
-        c1 = 2 * m * (m + ab) * (2 * m + ab - 2)
-        c2 = 2 * m + ab - 1
-        c3 = (2 * m + ab) * (2 * m + ab - 2)
-        c4 = a * a - b * b
-        c5 = 2 * (m + a - 1) * (m + b - 1) * (2 * m + ab)
-        p_prev, p_cur = p_cur, (c2 * (c3 * t + c4) * p_cur - c5 * p_prev) / c1
-    return p_cur
+def _check_level(l):
+    if l < 1 or l != int(l):
+        raise DomainError(f"level must be a positive integer, got {l}")
+
+
+def level_weight(space: SpaceSpec, l: int) -> float:
+    """Weight of the degree-l eigenspace in the chordal expansion."""
+    _check_level(l)
+    return float(np.exp(_log_level_weight(space, int(l))))
+
+
+def chordal_coeff(space: SpaceSpec, l: int) -> float:
+    """Degree-l coefficient of the chordal-metric expansion.
+
+    Below l = 160 an independent beta-function product is evaluated as
+    well and must agree with the gamma quotient; disagreement raises a
+    consistency error.
+    """
+    _check_level(l)
+    l = int(l)
+    value = float(np.exp(_log_chordal_coeff(space, l)))
+    if l < 160:
+        d, d0 = space.d, space.d0
+        route_a = (beta((d + 1) / 2, l + d0 / 2)
+                   * math.exp(math.lgamma(l - 0.5) - math.lgamma(0.5))
+                   * jacobi_at_one(l, d / 2 - 1) / math.gamma(l + 1))
+        if abs(route_a - value) > 1e-11 * abs(value):
+            raise ConsistencyError(
+                f"chordal coefficient routes disagree at l={l}: {route_a} vs {value}"
+            )
+    return value
+
+
+def radial_weight(space: SpaceSpec, l: int, measure: RadiusMeasure) -> float:
+    """Radial weight of degree l: squared-Jacobi integral against the measure."""
+    _check_level(l)
+    return float(_radial_weights(space, measure, int(l))[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -178,160 +185,124 @@ class ExpansionCoeffs:
     tail_bound: float
 
 
-def coeff_tail(space: SpaceSpec, l: int) -> float:
-    """Exact value of sum_{j >= l} m_j c_j via a telescoping antidifference."""
+def coeff_tail(space: SpaceSpec, l):
+    """Exact value of sum_{j >= l} m_j c_j via a telescoping antidifference.
+
+    Elementwise for an array of levels ``l``.
+    """
     d, d0 = space.d, space.d0
     s = (d + d0) / 2
     log_kappa = math.lgamma((d + 1) / 2) - math.lgamma(0.5) - math.lgamma(d / 2)
-    return 2.0 * math.exp(
-        log_kappa + math.lgamma(l - 1 + s) + math.lgamma(l - 0.5)
-        - math.lgamma(l + s - 0.5) - math.lgamma(l)
-    )
+    return 2.0 * np.exp(log_kappa + gammaln(l - 1 + s) + gammaln(l - 0.5)
+                        - gammaln(l + s - 0.5) - gammaln(l))
 
 
 @lru_cache(maxsize=64)
 def expansion_coeffs(space: SpaceSpec, measure: RadiusMeasure = RadiusMeasure.canonical(),
                      L: int = SERIES_CAP) -> ExpansionCoeffs:
     """Build (and cache) the coefficient table for a space and radius measure."""
-    d, d0 = space.d, space.d0
-    s = (d + d0) / 2
     ls = np.arange(1, L + 1, dtype=float)
-    log_m = (np.log(2 * ls - 1 + s) + gammaln(ls + 1) + gammaln(ls - 1 + s)
-             - gammaln(ls + d / 2) - gammaln(ls + d0 / 2))
-    log_c = (gammaln((d + 1) / 2) + gammaln(ls + d0 / 2)
-             - gammaln(ls + (d + d0 + 1) / 2)
-             + gammaln(ls - 0.5) - gammaln(0.5)
-             + gammaln(d / 2 + ls) - 2 * gammaln(ls + 1) - gammaln(d / 2))
-    m_l = np.exp(log_m)
-    c_l = np.exp(log_c)
-    if measure.kind == "sine":
-        log_a = (math.log(2.0) + gammaln(ls - 0.5) - gammaln(0.5) - 2 * gammaln(ls)
-                 + gammaln(d + 1) + gammaln(d0 + 1) - gammaln(d + d0 + 2)
-                 + _log_poch_ratio(ls - 1, d / 2, d0 / 2))
-        a_l = np.exp(log_a)
-    else:
-        nodes = np.asarray(measure.nodes, float)
-        weights = np.asarray(measure.weights, float)
-        if nodes.size == 0:
-            a_l = np.zeros(L)
-        else:
-            w_geom = np.sin(nodes / 2) ** (2 * d) * np.cos(nodes / 2) ** (2 * d0)
-            t = np.cos(nodes)
-            a_l = np.empty(L)
-            p_prev = np.ones_like(t)
-            a_l[0] = float(np.dot(weights, p_prev**2 * w_geom))
-            if L > 1:
-                a, b = d / 2, d0 / 2
-                p_cur = (a + 1) + (a + b + 2) * (t - 1) / 2
-                a_l[1] = float(np.dot(weights, p_cur**2 * w_geom))
-                for m in range(2, L):
-                    ab = a + b
-                    c1 = 2 * m * (m + ab) * (2 * m + ab - 2)
-                    c2 = 2 * m + ab - 1
-                    c3 = (2 * m + ab) * (2 * m + ab - 2)
-                    c4 = a * a - b * b
-                    c5 = 2 * (m + a - 1) * (m + b - 1) * (2 * m + ab)
-                    p_prev, p_cur = p_cur, (c2 * (c3 * t + c4) * p_cur - c5 * p_prev) / c1
-                    a_l[m] = float(np.dot(weights, p_cur**2 * w_geom))
+    m_l = np.exp(_log_level_weight(space, ls))
+    c_l = np.exp(_log_chordal_coeff(space, ls))
+    a_l = _radial_weights(space, measure, L)
     for arr in (m_l, c_l, a_l):
         arr.setflags(write=False)
-    return ExpansionCoeffs(space, measure, L, m_l, c_l, a_l, coeff_tail(space, L + 1))
+    return ExpansionCoeffs(space, measure, L, m_l, c_l, a_l,
+                           float(coeff_tail(space, L + 1)))
 
 
 # ---------------------------------------------------------------------------
 # adaptive series engine
 
 
-def _adaptive_series(space, thetas, t_l, tail_fn, tol, cap):
+def _adaptive_series(space, theta, t_l, tail_fn, tol):
     """Sum sum_l t_l (1 - phi_l(theta)) adaptively for every theta.
 
-    Rearranged as [head + exact tail] - [window-averaged oscillatory part].
-    Acceptance per theta: a rigorous coefficient-tail certificate, or two
-    consecutive stable refinements past the oscillation-resolution floor,
-    or a relaxed Richardson-style check at the hard cap.  ``tol`` may be a
-    scalar or a per-theta array of absolute tolerances.
+    Rearranged as [head + tail] - [window-averaged oscillatory part].
+    ``tail_fn(L)`` bounds (or estimates) sum_{l > L} t_l, elementwise for an
+    array of L.  Acceptance per theta: the tail beyond the window is below
+    ``tol``, or two consecutive stable refinements past the
+    oscillation-resolution floor, or a relaxed Richardson-style check at the
+    hard cap.  ``tol`` may be a scalar or a per-theta array of absolute
+    tolerances.  A scalar ``theta`` gives a float.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if np.any(thetas < 0) or np.any(thetas > math.pi + 1e-12):
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    if not np.all((thetas >= 0) & (thetas <= math.pi + 1e-12)):
         raise DomainError("theta must lie in [0, pi]")
     tols = np.broadcast_to(np.asarray(tol, dtype=float), thetas.shape)
-    if np.any(tols <= 0):
+    if not np.all(tols > 0):
         raise DomainError("tol must be positive")
     values = np.zeros_like(thetas)
     active = np.flatnonzero(thetas > 0)
-    if active.size == 0:
-        return values
     order = active[np.argsort(thetas[active])]
     a, b = _jacobi_params(space)
     H = np.cumsum(t_l)
-    checkpoints = [c for c in _CHECKPOINTS if c < cap] + [cap]
     for start in range(0, order.size, 256):
         idx = order[start:start + 256]
-        values[idx] = _series_chunk(thetas[idx], t_l, H, tail_fn, tols[idx],
-                                    cap, a, b, checkpoints)
+        values[idx] = _series_chunk(thetas[idx], t_l, H, tail_fn, tols[idx], a, b)
+    if np.ndim(theta) == 0:
+        return float(values[0])
     return values
 
 
-def _series_chunk(th, t_l, H, tail_fn, tols, cap, a, b, checkpoints):
+def _series_chunk(th, t_l, H, tail_fn, tols, a, b):
+    cap = SERIES_CAP
     n = th.size
-    t = np.cos(th)
     winfull = np.minimum(np.ceil(2 * math.pi / th), cap).astype(int)
     osc_floor = 6.0 * 2 * math.pi / th
+    # G[l] = sum_{k <= l} t_k phi_k(theta), one column per angle
     G = np.empty((cap + 1, n))
     G[0] = 0.0
-    p_prev = np.ones(n)
-    p_cur = (a + 1) + (a + b + 2) * (t - 1) / 2
-    pone = a + 1
-    G[1] = t_l[0] * (p_cur / pone)
-    resolved = np.zeros(n, dtype=bool)
+    is_open = np.ones(n, dtype=bool)
     vals = np.empty(n)
     consec = np.zeros(n, dtype=int)
+    # NaN compares false, so no refinement counts as stable at the first checkpoint
     prev_vhat = np.full(n, np.nan)
-    cp_set = set(checkpoints)
-    ab = a + b
-    for l in range(2, cap + 1):
-        c1 = 2 * l * (l + ab) * (2 * l + ab - 2)
-        c2 = 2 * l + ab - 1
-        c3 = (2 * l + ab) * (2 * l + ab - 2)
-        c4 = a * a - b * b
-        c5 = 2 * (l + a - 1) * (l + b - 1) * (2 * l + ab)
-        p_prev, p_cur = p_cur, (c2 * (c3 * t + c4) * p_cur - c5 * p_prev) / c1
+    rows = jacobi_rows(a, b, np.cos(th))
+    next(rows)  # phi_0 = 1 drops out of 1 - phi_l
+    pone = 1.0  # P_l(1)
+    for l, p in zip(range(1, cap + 1), rows):
         pone = pone * (a + l) / l
-        G[l] = G[l - 1] + t_l[l - 1] * (p_cur / pone)
-        if l not in cp_set:
+        G[l] = G[l - 1] + t_l[l - 1] * (p / pone)
+        if l not in _CHECKPOINTS:
             continue
-        W = np.minimum(winfull, l // 2)
-        np.maximum(W, 1, out=W)
-        tail_here = tail_fn(l)
-        for j in range(n):
-            if resolved[j]:
-                continue
-            tol = tols[j]
-            vhat = H[l - 1] + tail_here - G[l - W[j] + 1:l + 1, j].mean()
-            if tail_fn(max(1, l - W[j])) < tol:
-                vals[j] = vhat
-                resolved[j] = True
-            elif not math.isnan(prev_vhat[j]) and abs(vhat - prev_vhat[j]) < tol / 4 \
-                    and l >= 625 and l >= osc_floor[j]:
-                consec[j] += 1
-                if consec[j] >= 2:
-                    vals[j] = vhat
-                    resolved[j] = True
-            else:
-                consec[j] = 0
-            if not resolved[j] and l == cap:
-                if not math.isnan(prev_vhat[j]) and abs(vhat - prev_vhat[j]) / 4 < tol / 2:
-                    vals[j] = vhat
-                    resolved[j] = True
-                else:
-                    raise ConvergenceError(
-                        f"series did not certify tolerance {tol:g} at theta="
-                        f"{th[j]:.6g} within {cap} terms"
-                    )
-            prev_vhat[j] = vhat
-        if resolved.all():
+        j = np.flatnonzero(is_open)
+        tol = tols[j]
+        W = np.maximum(np.minimum(winfull[j], l // 2), 1)
+        vhat = H[l - 1] + tail_fn(l) - _window_means(G, l, j, W)
+        step = np.abs(vhat - prev_vhat[j])
+        stable = (step < tol / 4) & (l >= 625) & (l >= osc_floor[j])
+        consec[j] = np.where(stable, consec[j] + 1, 0)
+        accept = (tail_fn(np.maximum(1, l - W)) < tol) | (stable & (consec[j] >= 2))
+        if l == cap:
+            accept |= step / 4 < tol / 2
+            if not accept.all():
+                k = np.flatnonzero(~accept)[0]
+                raise ConvergenceError(
+                    f"series did not certify tolerance {tol[k]:g} at theta="
+                    f"{th[j[k]]:.6g} within {cap} terms"
+                )
+        vals[j[accept]] = vhat[accept]
+        is_open[j[accept]] = False
+        prev_vhat[j] = vhat
+        if not is_open.any():
             break
     return vals
+
+
+def _window_means(G, l, cols, W):
+    """Mean of rows l - W_k + 1 .. l of column cols[k] of G, for every k.
+
+    Each window is reduced as its own contiguous segment, so its mean
+    depends on its own column only, never on the other angles of the chunk.
+    """
+    width = int(W.max())
+    block = G[l - width + 1:l + 1].T[cols]  # one row per column, windows right-aligned
+    ends = np.arange(1, cols.size + 1) * width
+    bounds = np.empty(2 * cols.size - 1, dtype=np.intp)
+    bounds[0::2] = ends - W
+    bounds[1::2] = ends[:-1]
+    return np.add.reduceat(block.ravel(), bounds)[0::2] / W
 
 
 def _symdiff_coeffs(space, measure):
@@ -341,12 +312,16 @@ def _symdiff_coeffs(space, measure):
     t_l = inv_b * table.m_l * table.a_l / ls**2
     if measure.kind == "sine":
         two_gamma = 2.0 * gamma_const(space)
-        tail_fn = lambda L: coeff_tail(space, L + 1) / two_gamma
-    else:
-        # no closed tail off the canonical measure: extrapolate the 1/l^2
-        # envelope from the computed block (estimate, not a certificate)
-        l2t = ls**2 * t_l
-        tail_fn = lambda L: float(np.mean(l2t[max(0, L - 64):L])) / L
+        return t_l, lambda L: coeff_tail(space, L + 1) / two_gamma
+
+    # no closed tail off the canonical measure: extrapolate the 1/l^2
+    # envelope from the last 64 computed levels (an estimate, not a certificate)
+    csum = np.concatenate(([0.0], np.cumsum(ls**2 * t_l)))
+
+    def tail_fn(L):
+        lo = np.maximum(0, L - 64)
+        return (csum[L] - csum[lo]) / (L - lo) / L
+
     return t_l, tail_fn
 
 
@@ -355,48 +330,36 @@ def symdiff_series(space: SpaceSpec, theta, measure: RadiusMeasure = None,
     """Symmetric-difference metric by its zonal expansion.
 
     Accepts a scalar or an array of angles (``tol`` may then be a matching
-    array of per-angle absolute tolerances); raises if a requested tolerance
-    cannot be certified within the hard term cap.  Near theta = 0 the
-    certifiable absolute accuracy at the cap degrades like 1/theta^2, so
-    very small angles need a correspondingly relaxed tolerance.
+    array of per-angle absolute tolerances).  Each angle is accepted by one
+    of three paths: a tail certificate (the coefficient tail beyond the
+    averaging window is below ``tol``), two consecutive stable refinements
+    past the oscillation floor, or a relaxed stability check at the hard
+    term cap; otherwise ``ConvergenceError`` is raised.  Under the
+    canonical measure the tail is exact, so the first path certifies
+    ``tol``.  Under any other radius measure the tail is an extrapolated
+    1/l^2 estimate, so the result is an estimate to ``tol``, not a
+    certificate.  Near theta = 0 the attainable absolute accuracy at the
+    cap degrades like 1/theta^2, so very small angles need a
+    correspondingly relaxed tolerance.
     """
     if measure is None:
         measure = RadiusMeasure.canonical()
     t_l, tail_fn = _symdiff_coeffs(space, measure)
-    vals = _adaptive_series(space, np.atleast_1d(theta), t_l, tail_fn, tol, SERIES_CAP)
-    if np.isscalar(theta) or np.ndim(theta) == 0:
-        return float(vals[0])
-    return vals
+    return _adaptive_series(space, theta, t_l, tail_fn, tol)
 
 
 def chordal_series(space: SpaceSpec, theta, tol: float = 1e-8):
     """Chordal metric sin(theta/2) summed from its zonal expansion."""
     table = expansion_coeffs(space, RadiusMeasure.canonical(), SERIES_CAP)
     t_l = 0.5 * table.m_l * table.c_l
-    tail_fn = lambda L: 0.5 * coeff_tail(space, L + 1)
-    vals = _adaptive_series(space, np.atleast_1d(theta), t_l, tail_fn, tol, SERIES_CAP)
-    if np.isscalar(theta) or np.ndim(theta) == 0:
-        return float(vals[0])
-    return vals
-
-
-_GL64_NODES, _GL64_WEIGHTS = np.polynomial.legendre.leggauss(64)
+    return _adaptive_series(space, theta, t_l, lambda L: 0.5 * coeff_tail(space, L + 1), tol)
 
 
 def avg_symdiff(space: SpaceSpec, measure: RadiusMeasure = None) -> float:
     """Mean symmetric-difference distance: integral of v - v^2 in the measure."""
-    from .spaces import ball_volume
-
     if measure is None:
         measure = RadiusMeasure.canonical()
-    if measure.kind == "sine":
-        r = (_GL64_NODES + 1) * (math.pi / 2)
-        v = ball_volume(space, r)
-        return float(math.pi / 2 * np.dot(_GL64_WEIGHTS, (v - v**2) * np.sin(r)))
-    if not measure.nodes:
-        return 0.0
-    r = np.asarray(measure.nodes, float)
-    w = np.asarray(measure.weights, float)
+    r, w = measure.rule()
     v = ball_volume(space, r)
     return float(np.dot(w, v - v**2))
 
@@ -483,6 +446,6 @@ def jacobi_sq_integral(n: int, alpha, beta_, route: str = "closed") -> float:
                 "quadrature route requires alpha, beta > -1/2 for an integrable weight"
             )
         rule = gauss_jacobi(n + 2, 2 * alpha, 2 * beta_)
-        p = _jacobi_on_grid(n, alpha, beta_, rule.nodes)
+        p = next(itertools.islice(jacobi_rows(alpha, beta_, rule.nodes), n, None))
         return float(np.dot(rule.weights, p**2))
     raise DomainError(f"unknown route {route!r}")

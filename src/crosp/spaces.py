@@ -256,6 +256,28 @@ class RadiusMeasure:
             return 2.0
         return float(sum(self.weights))
 
+    def rule(self):
+        """(nodes, weights) integrating f(r) against the measure on [0, pi].
+
+        The sine density uses a 64-node Gauss-Legendre rule mapped to
+        [0, pi]; a point-mass measure is its own rule.
+        """
+        if self.kind == "sine":
+            return _SINE_RULE
+        return np.asarray(self.nodes, float), np.asarray(self.weights, float)
+
+
+def _sine_rule():
+    x, w = np.polynomial.legendre.leggauss(64)
+    r = (x + 1) * (math.pi / 2)
+    rule = (r, (math.pi / 2) * w * np.sin(r))
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
+_SINE_RULE = _sine_rule()
+
 
 # ---------------------------------------------------------------------------
 # metrics

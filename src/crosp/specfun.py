@@ -7,6 +7,7 @@ Watson's closed form.  Everything here is pure and re-entrant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +27,7 @@ __all__ = [
     "reg_inc_beta",
     "rising",
     "falling",
+    "jacobi_rows",
     "jacobi_eval",
     "jacobi_at_one",
     "gauss_jacobi",
@@ -102,6 +104,27 @@ def falling(a, k):
     return out
 
 
+def jacobi_rows(alpha, beta_, t):
+    """Yield P_0, P_1, P_2, ... of P_n^{(alpha, beta)}(t) without end.
+
+    The one three-term recurrence in crosp.  ``t`` may be a float or an
+    array (evaluated elementwise); the caller checks the domain.
+    """
+    p_prev = np.ones_like(t, dtype=float) if np.ndim(t) else 1.0
+    yield p_prev
+    p_cur = (alpha + 1) + (alpha + beta_ + 2) * (t - 1) / 2
+    yield p_cur
+    ab = alpha + beta_
+    c4 = alpha * alpha - beta_ * beta_
+    for m in itertools.count(2):
+        c1 = 2 * m * (m + ab) * (2 * m + ab - 2)
+        c2 = 2 * m + ab - 1
+        c3 = (2 * m + ab) * (2 * m + ab - 2)
+        c5 = 2 * (m + alpha - 1) * (m + beta_ - 1) * (2 * m + ab)
+        p_prev, p_cur = p_cur, (c2 * (c3 * t + c4) * p_cur - c5 * p_prev) / c1
+        yield p_cur
+
+
 def jacobi_eval(n, alpha, beta_, t):
     """Jacobi polynomial P_n^{(alpha, beta)}(t) by the three-term recurrence.
 
@@ -109,28 +132,11 @@ def jacobi_eval(n, alpha, beta_, t):
     """
     if n < 0 or n != int(n):
         raise DomainError(f"jacobi_eval requires integer n >= 0, got {n}")
-    if alpha <= -1 or beta_ <= -1:
+    if not (alpha > -1 and beta_ > -1):
         raise DomainError(f"jacobi_eval requires alpha, beta > -1, got ({alpha}, {beta_})")
-    if t < -1 or t > 1:
+    if not -1 <= t <= 1:
         raise DomainError(f"jacobi_eval requires t in [-1, 1], got {t}")
-    n = int(n)
-    if n == 0:
-        return 1.0
-    p_prev = 1.0
-    p_cur = (alpha + 1) + (alpha + beta_ + 2) * (t - 1) / 2
-    for m in range(2, n + 1):
-        ab = alpha + beta_
-        c1 = 2 * m * (m + ab) * (2 * m + ab - 2)
-        c2 = 2 * m + ab - 1
-        c3 = (2 * m + ab) * (2 * m + ab - 2)
-        c4 = alpha * alpha - beta_ * beta_
-        c5 = 2 * (m + alpha - 1) * (m + beta_ - 1) * (2 * m + ab)
-        p_prev, p_cur = p_cur, (c2 * (c3 * t + c4) * p_cur - c5 * p_prev) / c1
-    if alpha >= beta_ >= 0:
-        # the value at t = 1 dominates on [-1, 1] only when alpha >= beta
-        # (with beta > alpha the magnitude peaks at t = -1 instead)
-        assert abs(p_cur) <= jacobi_at_one(n, alpha, beta_) * (1 + 1e-12) + 1e-300
-    return p_cur
+    return next(itertools.islice(jacobi_rows(alpha, beta_, t), int(n), None))
 
 
 def jacobi_at_one(n, alpha, beta_=None):

@@ -110,6 +110,16 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == pytest.approx(2 * math.sin(theta / 2), rel=1e-14)
 
+    @pytest.mark.parametrize("route", ["closed", "series"])
+    def test_nonfinite_distance_matrix_exit_code(self, tmp_path, capsys, route):
+        dm = tmp_path / "nan.csv"
+        dm.write_text("0,1,nan\n1,0,1\nnan,1,0\n")
+        out = tmp_path / "out.json"
+        assert main(["discrepancy", "--in", str(dm), "--space", "s2", "--route", route,
+                     "--no-meta", "--out", str(out)]) == 3
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_antipodal_closed_value(self, tmp_path, capsys):
         pts = PointSet.from_points(parse_space("s1"),
                                    [np.array([1.0, 0.0]), np.array([-1.0, 0.0])])

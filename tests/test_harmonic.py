@@ -28,6 +28,7 @@ from crosp.specfun import beta, gauss_jacobi, jacobi_at_one, jacobi_eval, rising
 
 ALL_CODES = ["s1", "s2", "s3", "rp2", "cp2", "hp2", "op2"]
 CANON = RadiusMeasure.canonical()
+POINT_MASSES = RadiusMeasure.from_nodes([0.4, 1.1, 2.0], [0.2, 0.5, 0.3])
 
 
 class TestZonal:
@@ -256,6 +257,19 @@ class TestSeries:
         space = parse_space("s3")
         th = 1.234
         assert symdiff_series(space, np.array([th]))[0] == symdiff_series(space, th)
+        # each value depends on its own angle only: 600 shuffled angles span
+        # three 256-angle chunks, and every one must equal, bit for bit, the
+        # angle evaluated alone.  Every tenth angle asks for 1e-5, which the
+        # tail cannot certify within the cap, so the stable-refinement path
+        # is exercised as well as the tail path.
+        space = parse_space("cp2")
+        rng = np.random.default_rng(7)
+        thetas = rng.permutation(np.linspace(0.05, math.pi, 600))
+        tols = np.where(np.arange(600) % 10 == 0, 1e-5, 1e-3)
+        for measure in (CANON, POINT_MASSES):
+            together = symdiff_series(space, thetas, measure, tols)
+            alone = [symdiff_series(space, th, measure, tol) for th, tol in zip(thetas, tols)]
+            assert np.array_equal(together, alone)
 
     def test_discretized_measure_approximates_canonical(self):
         # the canonical density sampled on a Gauss grid reproduces the
@@ -280,6 +294,14 @@ class TestSeries:
             symdiff_series(parse_space("s1"), 4.0)
         with pytest.raises(DomainError):
             symdiff_series(parse_space("s1"), 1.0, tol=0.0)
+        with pytest.raises(DomainError):
+            symdiff_series(parse_space("s2"), math.nan)
+        with pytest.raises(DomainError):
+            symdiff_series(parse_space("s2"), np.array([0.5, math.nan]))
+        with pytest.raises(DomainError):
+            symdiff_series(parse_space("s2"), 1.0, tol=math.nan)
+        with pytest.raises(DomainError):
+            chordal_series(parse_space("s2"), math.nan)
 
 
 class TestAvgSymdiff:
@@ -330,6 +352,19 @@ class TestCoefficientTable:
             t_sym = inv_b * level_weight(space, l) * radial_weight(space, l, CANON) / l**2
             expected = (coeff_tail(space, l) - coeff_tail(space, l + 1)) / (2 * gam)
             assert t_sym == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("code", ALL_CODES)
+    @pytest.mark.parametrize("measure", [CANON, POINT_MASSES], ids=["sine", "point-masses"])
+    def test_table_matches_scalar_functions(self, code, measure):
+        # the table the series engine sums and the scalar exports share one
+        # formula each; l = 159/160 straddles the chordal cross-check cutoff
+        space = parse_space(code)
+        table = expansion_coeffs(space, measure, SERIES_CAP)
+        for l in (1, 2, 17, 159, 160, 2000):
+            assert table.m_l[l - 1] == pytest.approx(level_weight(space, l), rel=1e-12)
+            assert table.c_l[l - 1] == pytest.approx(chordal_coeff(space, l), rel=1e-12)
+            assert table.a_l[l - 1] == pytest.approx(radial_weight(space, l, measure),
+                                                     rel=1e-12)
 
     def test_cache_identity(self):
         s2 = parse_space("s2")

@@ -18,6 +18,7 @@ from crosp.specfun import (
     hyp3f2_unit,
     jacobi_at_one,
     jacobi_eval,
+    jacobi_rows,
     log_gamma,
     reg_inc_beta,
     rising,
@@ -194,6 +195,12 @@ class TestJacobi:
             t = float(rng.uniform(-1, 1))
             assert abs(jacobi_eval(n, a, b, t)) <= jacobi_at_one(n, a, b) * (1 + 1e-12)
 
+    def test_rows_elementwise(self):
+        # the array recurrence reproduces the scalar one entry by entry
+        ts = np.linspace(-1, 1, 9)
+        for n, row in zip(range(30), jacobi_rows(1.5, 0.5, ts)):
+            assert np.array_equal(row, [jacobi_eval(n, 1.5, 0.5, t) for t in ts])
+
     def test_bound_can_fail_with_swapped_parameters(self):
         # with beta > alpha the magnitude peaks at t = -1; degree 1 at (0, 1/2)
         assert abs(jacobi_eval(1, 0.0, 0.5, -1.0)) > jacobi_at_one(1, 0.0, 0.5)
@@ -203,6 +210,10 @@ class TestJacobi:
             jacobi_eval(-1, 0, 0, 0.0)
         with pytest.raises(DomainError):
             jacobi_eval(2, 0, 0, 1.5)
+        with pytest.raises(DomainError):
+            jacobi_eval(3, 0.5, 0.2, math.nan)
+        with pytest.raises(DomainError):
+            jacobi_eval(3, math.nan, 0.2, 0.5)
 
 
 class TestJacobiAtOne:
