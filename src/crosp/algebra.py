@@ -57,7 +57,8 @@ def cd_norm(x):
 
 
 @lru_cache(maxsize=None)
-def _sesq_tensor(dim):
+def sesquilinear_tensor(dim):
+    """T with (conj(x) y)_c = sum_{a,b} T[c,a,b] x_a y_b; cached, read-only."""
     basis = np.eye(dim)
     T = np.empty((dim, dim, dim))
     for a in range(dim):
@@ -66,8 +67,3 @@ def _sesq_tensor(dim):
             T[:, a, b] = cd_mul(ea_conj, basis[b])
     T.setflags(write=False)
     return T
-
-
-def sesquilinear_tensor(dim):
-    """T with (conj(x) y)_c = sum_{a,b} T[c,a,b] x_a y_b; cached, read-only."""
-    return _sesq_tensor(dim)

@@ -78,10 +78,14 @@ def _geodesic_matrix_of(space, pts):
 def pair_sum(space: SpaceSpec, pts, metric: str = "chordal") -> float:
     """Sum of the chosen distance over all ordered pairs (diagonal included)."""
     dm = _geodesic_matrix_of(space, pts)
-    n = dm.shape[0]
-    if n == 0:
+    if dm.shape[0] == 0:
         warnings.warn("pair_sum of an empty point set is 0", stacklevel=2)
         return 0.0
+    return _pair_sum_of(dm, metric)
+
+
+def _pair_sum_of(dm, metric: str = "chordal") -> float:
+    """pair_sum of an already validated geodesic matrix."""
     if metric == "chordal":
         vals = np.sin(dm / 2)
     elif metric == "geodesic":
@@ -94,6 +98,11 @@ def pair_sum(space: SpaceSpec, pts, metric: str = "chordal") -> float:
     return math.fsum(vals.ravel())
 
 
+def _closed_from_sum(space, n, tau_sum) -> float:
+    """discrepancy_closed from the pair chordal sum of n points."""
+    return (avg_chordal(space) * n**2 - tau_sum) / gamma_const(space)
+
+
 def discrepancy_closed(space: SpaceSpec, pts) -> float:
     """Ball quadratic discrepancy for the canonical radius measure, closed form.
 
@@ -101,8 +110,7 @@ def discrepancy_closed(space: SpaceSpec, pts) -> float:
     """
     dm = _geodesic_matrix_of(space, pts)
     n = dm.shape[0]
-    tau_sum = pair_sum(space, dm) if n else 0.0
-    return (avg_chordal(space) * n**2 - tau_sum) / gamma_const(space)
+    return _closed_from_sum(space, n, _pair_sum_of(dm) if n else 0.0)
 
 
 # certifiable series accuracy at the term cap degrades like C / theta^2 for
@@ -126,9 +134,13 @@ def discrepancy_series(space: SpaceSpec, pts, measure: RadiusMeasure = None,
     path a certificate; under a point-mass measure the tail is an
     extrapolated 1/l^2 estimate, so the total is an estimate too.
     """
+    return _series_of(space, _geodesic_matrix_of(space, pts), measure, tol)
+
+
+def _series_of(space, dm, measure, tol) -> float:
+    """discrepancy_series of an already validated geodesic matrix."""
     if measure is None:
         measure = RadiusMeasure.canonical()
-    dm = _geodesic_matrix_of(space, pts)
     n = dm.shape[0]
     if n == 0:
         return 0.0
@@ -259,13 +271,13 @@ def invariance_residual(space: SpaceSpec, pts, route: str = "closed",
     dm = _geodesic_matrix_of(space, pts)
     n = dm.shape[0]
     gam = gamma_const(space)
-    tau_sum = pair_sum(space, dm) if n else 0.0
+    tau_sum = _pair_sum_of(dm) if n else 0.0
     target = avg_chordal(space) * n**2
     if route == "closed":
-        lam = discrepancy_closed(space, dm)
+        lam = _closed_from_sum(space, n, tau_sum)
         return gam * lam + tau_sum - target
     if route == "series":
-        lam = discrepancy_series(space, dm, measure, tol)
+        lam = _series_of(space, dm, measure, tol)
         return gam * lam + tau_sum - target
     if route == "mc":
         est = discrepancy_mc(space, pts, samples, seed=seed, workers=workers)

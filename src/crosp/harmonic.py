@@ -83,12 +83,15 @@ def zonal_phi(space: SpaceSpec, l: int, theta: float) -> float:
 # expansion coefficients: one formula each, elementwise in the level
 
 
-def _log_level_weight(space, ls):
-    """log m_l: weight of the degree-l eigenspace in the chordal expansion."""
+def _level_weight(space, ls):
+    """m_l: weight of the degree-l eigenspace in the chordal expansion.
+
+    lgamma terms of size l log l are differenced in pairs before the exp.
+    """
     d, d0 = space.d, space.d0
     s = (d + d0) / 2
-    return (np.log(2 * ls - 1 + s) + gammaln(ls + 1) + gammaln(ls - 1 + s)
-            - gammaln(ls + d / 2) - gammaln(ls + d0 / 2))
+    return (2 * ls - 1 + s) * np.exp((gammaln(ls + 1) - gammaln(ls + d / 2))
+                                     + (gammaln(ls - 1 + s) - gammaln(ls + d0 / 2)))
 
 
 def _log_chordal_coeff(space, ls):
@@ -133,7 +136,7 @@ def _check_level(l):
 def level_weight(space: SpaceSpec, l: int) -> float:
     """Weight of the degree-l eigenspace in the chordal expansion."""
     _check_level(l)
-    return float(np.exp(_log_level_weight(space, int(l))))
+    return float(_level_weight(space, int(l)))
 
 
 def chordal_coeff(space: SpaceSpec, l: int) -> float:
@@ -202,7 +205,7 @@ def expansion_coeffs(space: SpaceSpec, measure: RadiusMeasure = RadiusMeasure.ca
                      L: int = SERIES_CAP) -> ExpansionCoeffs:
     """Build (and cache) the coefficient table for a space and radius measure."""
     ls = np.arange(1, L + 1, dtype=float)
-    m_l = np.exp(_log_level_weight(space, ls))
+    m_l = _level_weight(space, ls)
     c_l = np.exp(_log_chordal_coeff(space, ls))
     a_l = _radial_weights(space, measure, L)
     for arr in (m_l, c_l, a_l):

@@ -140,6 +140,8 @@ class Point:
 
     def validate(self):
         fam = self.space.family
+        if not np.all(np.isfinite(self.data)):
+            raise DomainError("point coordinates must be finite")
         if fam is Family.SPHERE:
             if self.data.shape != (self.space.d + 1,):
                 raise DomainError(f"sphere point must have shape ({self.space.d + 1},)")
@@ -186,6 +188,8 @@ class PointSet:
             raise DomainError(
                 f"point array shape {arr.shape[1:]} does not match space {self.space}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("point coordinates must be finite")
 
     def __len__(self) -> int:
         return 0 if self.points.size == 0 else self.points.shape[0]
@@ -236,10 +240,11 @@ class RadiusMeasure:
             weights = np.asarray(self.weights, float)
             if nodes.shape != weights.shape:
                 raise DomainError("nodes and weights must have matching shapes")
-            if nodes.size and (nodes.min() < 0 or nodes.max() > math.pi):
+            # written so that a NaN fails the check
+            if not np.all((nodes >= 0) & (nodes <= math.pi)):
                 raise DomainError("measure nodes must lie in [0, pi]")
-            if weights.size and weights.min() < 0:
-                raise DomainError("measure weights must be nonnegative")
+            if not np.all(np.isfinite(weights) & (weights >= 0)):
+                raise DomainError("measure weights must be finite and nonnegative")
 
     @classmethod
     def canonical(cls) -> "RadiusMeasure":
@@ -285,14 +290,7 @@ _SINE_RULE = _sine_rule()
 
 def _oct_mat_mul(A, B):
     """Product of 3x3 octonionic matrices stored as (3, 3, 8)."""
-    out = np.zeros((3, 3, 8))
-    for i in range(3):
-        for j in range(3):
-            acc = np.zeros(8)
-            for k in range(3):
-                acc += algebra.cd_mul(A[i, k], B[k, j])
-            out[i, j] = acc
-    return out
+    return np.sum(algebra.cd_mul(A[:, :, None], B[None]), axis=1)
 
 
 def _check_same_space(space, *pts):
@@ -307,23 +305,38 @@ def _as_data(space, x):
     return Point(space, np.asarray(x, float)).data
 
 
+def _embedding(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
+    """Rows embed(x) of a stacked point array, shape (N, m)."""
+    if space.family is Family.SPHERE:
+        return X
+    n1 = X.shape[1]
+    i, j = np.triu_indices(n1, 1)
+    if space.family is Family.OCT_PROJ:
+        diag = X[:, np.arange(n1), np.arange(n1), 0]
+        upper = X[:, i, j]
+    else:
+        # |x_i|^2 and x_i conj(x_j): right unit scalars x -> x u cancel
+        diag = np.sum(X**2, axis=2)
+        upper = algebra.cd_mul(X[:, i], algebra.cd_conj(X[:, j]))
+    return np.concatenate([diag, math.sqrt(2.0) * upper.reshape(len(X), -1)], axis=1)
+
+
+def _cos_from_inner(space: SpaceSpec, g: np.ndarray) -> np.ndarray:
+    """cos(theta) = a <E(x), E(y)> + b, clipped to [-1, 1]; overwrites g."""
+    a, b = (1.0, 0.0) if space.family is Family.SPHERE else (2.0, -1.0)
+    g *= a
+    g += b
+    return np.clip(g, -1.0, 1.0, out=g)
+
+
 def cos_geodesic_matrix(space: SpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """cos(theta) between all rows of X and Y (stacked point arrays)."""
-    fam = space.family
+    """cos(theta) between all rows of X and Y (stacked point arrays).
+
+    One Gram product of the canonical embedding for every family.
+    """
     if X.size == 0 or Y.size == 0:
         return np.zeros((X.shape[0] if X.ndim else 0, Y.shape[0] if Y.ndim else 0))
-    if fam is Family.SPHERE:
-        c = X @ Y.T
-    elif fam is Family.OCT_PROJ:
-        tf = X.reshape(X.shape[0], -1) @ Y.reshape(Y.shape[0], -1).T
-        c = 2.0 * tf - 1.0
-    else:
-        d0 = space.d0
-        T = algebra.sesquilinear_tensor(d0)
-        # inner product components: sum_i (conj(x_i) y_i)_c
-        comps = np.einsum("cab,nia,mib->cnm", T, X, Y, optimize=True)
-        c = 2.0 * np.sum(comps**2, axis=0) - 1.0
-    return np.clip(c, -1.0, 1.0)
+    return _cos_from_inner(space, _embedding(space, X) @ _embedding(space, Y).T)
 
 
 def geodesic_matrix(space: SpaceSpec, X: np.ndarray, Y: np.ndarray = None) -> np.ndarray:
@@ -335,21 +348,12 @@ def geodesic_matrix(space: SpaceSpec, X: np.ndarray, Y: np.ndarray = None) -> np
 
 def cos_geodesic_pairs(space: SpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """cos(theta) between matching rows of X and Y (element-wise)."""
-    fam = space.family
     if X.shape != Y.shape:
         raise DomainError("paired arrays must have identical shapes")
     if X.size == 0:
         return np.zeros(0)
-    if fam is Family.SPHERE:
-        c = np.einsum("ni,ni->n", X, Y)
-    elif fam is Family.OCT_PROJ:
-        tf = np.einsum("n...,n...->n", X, Y)
-        c = 2.0 * tf - 1.0
-    else:
-        T = algebra.sesquilinear_tensor(space.d0)
-        comps = np.einsum("cab,nia,nib->cn", T, X, Y, optimize=True)
-        c = 2.0 * np.sum(comps**2, axis=0) - 1.0
-    return np.clip(c, -1.0, 1.0)
+    inner = np.sum(_embedding(space, X) * _embedding(space, Y), axis=1)
+    return _cos_from_inner(space, inner)
 
 
 def geodesic(space: SpaceSpec, x, y) -> float:
@@ -368,31 +372,12 @@ def chordal(space: SpaceSpec, x, y) -> float:
 def embed(space: SpaceSpec, x) -> np.ndarray:
     """Canonical embedding into the unit sphere of R^m.
 
-    Projective points map to the flattened Hermitian projection x x* with
-    off-diagonal blocks scaled by sqrt(2), so the Euclidean norm equals the
-    Frobenius norm and chordal(x, y) = ||embed(x) - embed(y)|| / sqrt(2).
-    Sphere points embed identically.
+    Sphere points embed identically; a projective point maps to its
+    Hermitian projection x x*: the real diagonal, then sqrt(2) times each
+    entry above it.  So chordal(x, y) = ||embed(x) - embed(y)|| / sqrt(2),
+    and every kernel computes cos(theta) = a <embed(x), embed(y)> + b.
     """
-    data = _as_data(space, x)
-    fam = space.family
-    if fam is Family.SPHERE:
-        return data.copy()
-    if fam is Family.OCT_PROJ:
-        P = data
-        out = [np.array([P[0, 0, 0], P[1, 1, 0], P[2, 2, 0]])]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                out.append(math.sqrt(2.0) * P[i, j])
-        return np.concatenate(out)
-    n1, d0 = data.shape
-    diag = np.sum(data**2, axis=1)
-    off = []
-    for i in range(n1):
-        for j in range(i + 1, n1):
-            # entry x_i conj(x_j) of the projection matrix
-            pij = algebra.cd_mul(data[i], algebra.cd_conj(data[j]))
-            off.append(math.sqrt(2.0) * pij)
-    return np.concatenate([diag] + off) if off else diag
+    return np.array(_embedding(space, _as_data(space, x)[None])[0])
 
 
 def ball_volume(space: SpaceSpec, r):
@@ -475,8 +460,4 @@ def chart_point_oct(c1, c2) -> Point:
     v[1] = algebra.as_element(c2, 8)
     v[2, 0] = 1.0
     v /= np.linalg.norm(v)
-    P = np.zeros((3, 3, 8))
-    for i in range(3):
-        for j in range(3):
-            P[i, j] = algebra.cd_mul(v[i], algebra.cd_conj(v[j]))
-    return Point(space, P)
+    return Point(space, algebra.cd_mul(v[:, None], algebra.cd_conj(v)[None]))

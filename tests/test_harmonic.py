@@ -71,6 +71,15 @@ class TestLevelWeight:
         cp2 = parse_space("cp2")
         assert level_weight(cp2, 1) == pytest.approx(4.0, rel=1e-13)
 
+    @pytest.mark.parametrize("code,offset", [("s2", 1.0), ("rp2", 0.5), ("cp2", 2.0)])
+    @pytest.mark.parametrize("l", [160, 2000, 10_000])
+    def test_exact_at_large_level(self, code, offset, l):
+        # m_l = 2l + offset exactly; the lgamma terms of size l log l cancel
+        space = parse_space(code)
+        expected = 2 * l + offset
+        assert level_weight(space, l) == pytest.approx(expected, rel=1e-14)
+        assert expansion_coeffs(space).m_l[l - 1] == pytest.approx(expected, rel=1e-14)
+
 
 class TestChordalCoeff:
     def test_two_sphere_level_one(self):

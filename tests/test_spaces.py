@@ -19,6 +19,7 @@ from crosp.spaces import (
     chart_point_oct,
     chordal,
     cos_geodesic_matrix,
+    cos_geodesic_pairs,
     embed,
     gamma_const,
     geodesic,
@@ -88,14 +89,21 @@ class TestGeodesic:
         assert geodesic(cp2, x, y) == pytest.approx(math.pi / 2, rel=1e-14)
 
     def test_phase_invariance(self):
-        # representatives differing by a unit scalar are the same class
-        cp2 = parse_space("cp2")
+        # representatives differing by a unit scalar on the right are the same
+        # class; on the quaternions a unit scalar on the left gives another one
         rng = np.random.default_rng(3)
-        v = rng.standard_normal((3, 2))
-        v /= np.linalg.norm(v)
-        phase = np.array([math.cos(0.8), math.sin(0.8)])
-        w = np.stack([algebra.cd_mul(row, phase) for row in v])
-        assert geodesic(cp2, Point(cp2, v), Point(cp2, w)) == pytest.approx(0.0, abs=3e-8)
+        for code in ("cp2", "hp2"):
+            space = parse_space(code)
+            v = rng.standard_normal((3, space.d0))
+            v /= np.linalg.norm(v)
+            u = rng.standard_normal(space.d0)
+            u /= np.linalg.norm(u)
+            x = Point(space, v)
+            right = Point(space, algebra.cd_mul(v, u))
+            assert geodesic(space, x, right) == pytest.approx(0.0, abs=3e-8)
+            if code == "hp2":
+                left = Point(space, algebra.cd_mul(u, v))
+                assert geodesic(space, x, left) > 0.1
 
     def test_mismatched_space(self):
         s2, s3 = parse_space("s2"), parse_space("s3")
@@ -118,6 +126,28 @@ class TestGeodesic:
                 for j in range(10):
                     for k in range(10):
                         assert mat[i, k] <= mat[i, j] + mat[j, k] + 1e-12
+
+
+class TestKernel:
+    @pytest.mark.parametrize("code", ["rp2", "cp2", "hp2", "op2"])
+    def test_matches_independent_reference(self, code):
+        space = parse_space(code)
+        rng = np.random.default_rng(29)
+        X = _random_points(space, 40, rng).points
+        Y = np.concatenate([X[:10], _random_points(space, 20, rng).points])
+        if space.family is Family.OCT_PROJ:
+            # trace form 2 <P, Q> - 1 of the Jordan idempotents, flattened
+            ref = 2.0 * (X.reshape(len(X), -1) @ Y.reshape(len(Y), -1).T) - 1.0
+        else:
+            # components of <x, y> = sum_i conj(x_i) y_i from the multiplication table
+            T = algebra.sesquilinear_tensor(space.d0)
+            comps = np.einsum("cab,nia,mib->cnm", T, X, Y)
+            ref = 2.0 * np.sum(comps**2, axis=0) - 1.0
+        c = cos_geodesic_matrix(space, X, Y)
+        assert c.shape == (40, 30)
+        assert np.max(np.abs(c - ref)) <= 1e-14
+        pairs = cos_geodesic_pairs(space, X[:30], Y)
+        assert np.max(np.abs(pairs - np.diag(c))) <= 1e-14
 
 
 class TestChordal:
@@ -321,6 +351,14 @@ class TestPointValidation:
         with pytest.raises(DomainError):
             Point(op2, P)
 
+    def test_nan_point_rejected(self):
+        with pytest.raises(DomainError):
+            Point(parse_space("s2"), np.array([math.nan, 0.0, 0.0]))
+
+    def test_nan_point_set_rejected(self):
+        with pytest.raises(DomainError):
+            PointSet(parse_space("s2"), np.array([[math.nan, 0.0, 0.0], [3.0, 0.0, 0.0]]))
+
     def test_mixed_spaces_rejected(self):
         s2 = parse_space("s2")
         s3 = parse_space("s3")
@@ -338,6 +376,10 @@ class TestRadiusMeasure:
             RadiusMeasure.from_nodes([0.5, 4.0], [1.0, 1.0])
         with pytest.raises(DomainError):
             RadiusMeasure.from_nodes([0.5], [-1.0])
+
+    def test_nan_node_rejected(self):
+        with pytest.raises(DomainError):
+            RadiusMeasure.from_nodes([math.nan, 1.0], [0.5, 0.5])
 
     def test_quadrature_mass(self):
         m = RadiusMeasure.from_nodes([0.5, 1.5], [0.25, 0.5])
