@@ -42,6 +42,13 @@ __all__ = [
 ]
 
 _MC_BATCH = 65_536
+# rows and columns of one kernel tile of a pair sum (2 MB of float64); 256 to
+# 1024 ran within noise at N = 4000 on a 2-core Xeon, smaller tiles pay the
+# per-tile embedding on hp2
+_PAIR_TILE = 512
+# entries the exact accumulator takes at once: 32K-entry chunks ran at about
+# 9 ns per entry, one 1M-entry block at about 18
+_SUM_CHUNK = 32_768
 
 
 @dataclass(frozen=True)
@@ -54,16 +61,81 @@ class McEstimate:
     seed: int
 
 
-def _geodesic_matrix_of(space, pts):
-    """Pairwise geodesic matrix from a PointSet or a precomputed matrix."""
-    if isinstance(pts, PointSet):
-        if pts.space != space:
-            raise DomainError(f"point set belongs to {pts.space}, expected {space}")
-        X = pts.points
-        if len(pts) == 0:
-            return np.zeros((0, 0))
-        return np.arccos(cos_geodesic_matrix(space, X, X))
-    dm = np.asarray(pts, dtype=float)
+# np.frexp writes a finite double as mant * 2**e with 0.5 <= |mant| < 1 and
+# e in [-1073, 1024]; the bucket of a value is e - _EXP_MIN
+_EXP_MIN = -1073
+_EXP_BUCKETS = 1024 - _EXP_MIN + 1
+# the float bucket sums of at most 2**26 entries are exact: below 2**52 in
+# units of 1 (high parts) and below 2**53 in units of 2**-27 (low parts)
+_EXACT_ENTRIES = 2**26
+
+
+class _ExactSum:
+    """Exactly rounded sum of finite doubles fed in blocks.
+
+    Each value's mantissa, scaled by 2**26, splits into an integral high
+    part of 26 bits and a fractional low part of 27 bits.  np.bincount sums
+    each part per exponent, exactly, and the buckets go into one Python
+    integer in units of 2**(_EXP_MIN - 53); ``value`` rounds it once, by a
+    correctly rounded integer division.  The result is the exact sum rounded
+    to nearest, as ``math.fsum`` returns it, whatever the order of the values
+    or the split of the blocks.  This is the small-superaccumulator idea of
+    Neal (arXiv:1505.05571) with numpy's vectorised loops.
+    """
+
+    def __init__(self):
+        self._total = 0
+        self._high = np.zeros(_EXP_BUCKETS)
+        self._low = np.zeros(_EXP_BUCKETS)
+        self._pending = 0
+
+    def add(self, values) -> None:
+        flat = np.ravel(values)
+        for start in range(0, flat.size, _SUM_CHUNK):
+            chunk = flat[start:start + _SUM_CHUNK]
+            if self._pending + chunk.size > _EXACT_ENTRIES:
+                self._flush()
+            mant, exp = np.frexp(chunk)
+            mant *= 2.0**26
+            high = np.trunc(mant)
+            mant -= high  # the low part
+            exp -= _EXP_MIN
+            self._high += np.bincount(exp, high, _EXP_BUCKETS)
+            self._low += np.bincount(exp, mant, _EXP_BUCKETS)
+            self._pending += chunk.size
+
+    def _flush(self) -> None:
+        # a value is (high + low) * 2**(k + 27) units, k its bucket
+        for k in np.flatnonzero(self._high).tolist():
+            self._total += int(self._high[k]) << (k + 27)
+        for k in np.flatnonzero(self._low).tolist():
+            self._total += int(self._low[k] * 2.0**27) << k
+        self._high[:] = 0.0
+        self._low[:] = 0.0
+        self._pending = 0
+
+    def value(self) -> float:
+        self._flush()
+        return self._total / (1 << (53 - _EXP_MIN))
+
+
+def _distances(theta, metric):
+    """The chosen distance of geodesic angles theta; overwrites theta."""
+    if metric == "chordal":
+        theta *= 0.5
+        np.sin(theta, out=theta)
+    return theta
+
+
+def _point_array(space, pts: PointSet) -> np.ndarray:
+    if pts.space != space:
+        raise DomainError(f"point set belongs to {pts.space}, expected {space}")
+    return pts.points
+
+
+def _distance_matrix(dm) -> np.ndarray:
+    """A precomputed geodesic matrix, validated."""
+    dm = np.asarray(dm, dtype=float)
     if dm.ndim != 2 or dm.shape[0] != dm.shape[1]:
         raise DomainError("distance matrix must be square")
     if not np.all(np.isfinite(dm)):
@@ -75,27 +147,73 @@ def _geodesic_matrix_of(space, pts):
     return dm
 
 
-def pair_sum(space: SpaceSpec, pts, metric: str = "chordal") -> float:
-    """Sum of the chosen distance over all ordered pairs (diagonal included)."""
-    dm = _geodesic_matrix_of(space, pts)
-    if dm.shape[0] == 0:
-        warnings.warn("pair_sum of an empty point set is 0", stacklevel=2)
-        return 0.0
-    return _pair_sum_of(dm, metric)
+def _geodesic_matrix_of(space, pts):
+    """Pairwise geodesic matrix from a PointSet or a precomputed matrix."""
+    if isinstance(pts, PointSet):
+        X = _point_array(space, pts)
+        if len(pts) == 0:
+            return np.zeros((0, 0))
+        return np.arccos(cos_geodesic_matrix(space, X, X))
+    return _distance_matrix(pts)
 
 
-def _pair_sum_of(dm, metric: str = "chordal") -> float:
-    """pair_sum of an already validated geodesic matrix."""
-    if metric == "chordal":
-        vals = np.sin(dm / 2)
-    elif metric == "geodesic":
-        vals = dm.copy()
-    else:
+def _tiled_pair_sum(space, X, metric) -> float:
+    """Pair sum of a stacked point array over the upper triangle, in tiles.
+
+    Each tile is one kernel call on a block of rows against a block of
+    columns at or right of it; diagonal tiles keep only the entries above
+    their diagonal.  Memory is O(tile^2 + N m).
+    """
+    n = len(X)
+    acc = _ExactSum()
+    upper = np.triu(np.ones((_PAIR_TILE, _PAIR_TILE), dtype=bool), 1)
+    for i in range(0, n, _PAIR_TILE):
+        rows = X[i:i + _PAIR_TILE]
+        for j in range(i, n, _PAIR_TILE):
+            vals = cos_geodesic_matrix(space, rows, X[j:j + _PAIR_TILE])
+            _distances(np.arccos(vals, out=vals), metric)
+            if i == j:
+                vals *= upper[:len(rows), :len(rows)]
+            acc.add(vals)
+    return 2 * acc.value()
+
+
+def _matrix_pair_sum(dm, metric) -> float:
+    """Pair sum of a validated geodesic matrix, in row blocks, diagonal excluded."""
+    n = dm.shape[0]
+    acc = _ExactSum()
+    step = max(1, _PAIR_TILE**2 // max(n, 1))
+    for i in range(0, n, step):
+        vals = _distances(np.array(dm[i:i + step]), metric)
+        vals[np.arange(len(vals)), np.arange(i, i + len(vals))] = 0.0
+        acc.add(vals)
+    return acc.value()
+
+
+def _count_and_pair_sum(space, pts, metric: str = "chordal"):
+    """(N, pair sum) of a PointSet, tile by tile, or of a distance matrix."""
+    if metric not in ("chordal", "geodesic"):
         raise DomainError(f"unknown metric {metric!r}")
-    np.fill_diagonal(vals, 0.0)
-    # exactly-rounded summation: the result depends only on the multiset of
-    # distances, not on point labelling
-    return math.fsum(vals.ravel())
+    if isinstance(pts, PointSet):
+        X = _point_array(space, pts)
+        return len(pts), _tiled_pair_sum(space, X, metric)
+    dm = _distance_matrix(pts)
+    return dm.shape[0], _matrix_pair_sum(dm, metric)
+
+
+def pair_sum(space: SpaceSpec, pts, metric: str = "chordal") -> float:
+    """Sum of the chosen distance over all ordered pairs of distinct indices.
+
+    The diagonal counts as zero.  A PointSet is summed over the upper
+    triangle, tile by tile, and the total doubled; a distance matrix row
+    block by row block.  The sum is exactly rounded: it depends only on the
+    multiset of pair distances, not on labelling, tiling or tile order.
+    Memory is O(tile^2 + N m) for a PointSet.
+    """
+    n, total = _count_and_pair_sum(space, pts, metric)
+    if n == 0:
+        warnings.warn("pair_sum of an empty point set is 0", stacklevel=2)
+    return total
 
 
 def _closed_from_sum(space, n, tau_sum) -> float:
@@ -107,10 +225,10 @@ def discrepancy_closed(space: SpaceSpec, pts) -> float:
     """Ball quadratic discrepancy for the canonical radius measure, closed form.
 
     Rearranges the invariance principle: (<tau> N^2 - pair chordal sum) / gamma.
+    The pair sum is the tiled, exactly rounded ``pair_sum``: no N x N array
+    is formed for a PointSet, and the value does not depend on labelling.
     """
-    dm = _geodesic_matrix_of(space, pts)
-    n = dm.shape[0]
-    return _closed_from_sum(space, n, _pair_sum_of(dm) if n else 0.0)
+    return _closed_from_sum(space, *_count_and_pair_sum(space, pts))
 
 
 # certifiable series accuracy at the term cap degrades like C / theta^2 for
@@ -194,14 +312,12 @@ def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
     """
     if not isinstance(pts, PointSet):
         raise DomainError("the Monte Carlo route requires an explicit point set")
-    if pts.space != space:
-        raise DomainError(f"point set belongs to {pts.space}, expected {space}")
+    X = _point_array(space, pts)
     if samples < 2:
         raise DomainError("need at least 2 samples for a standard error")
     if workers < 1:
         raise DomainError("workers must be >= 1")
     n = len(pts)
-    X = pts.points
     sizes = _shard_sizes(int(samples), int(workers))
     if len(sizes) == 1:
         chunks = [_mc_shard(space, X, n, seed, 0, sizes[0])]
@@ -266,21 +382,22 @@ def invariance_residual(space: SpaceSpec, pts, route: str = "closed",
 
     The closed route vanishes to rounding by construction (regression guard);
     the series and Monte Carlo routes are genuine checks.  The Monte Carlo
-    route returns an McEstimate whose stderr is scaled by gamma.
+    route returns an McEstimate whose stderr is scaled by gamma.  tau[D] is
+    the tiled ``pair_sum``; only the series route forms the geodesic matrix.
     """
-    dm = _geodesic_matrix_of(space, pts)
-    n = dm.shape[0]
     gam = gamma_const(space)
-    tau_sum = _pair_sum_of(dm) if n else 0.0
+    if route == "series":
+        dm = _geodesic_matrix_of(space, pts)
+        n, tau_sum = dm.shape[0], _matrix_pair_sum(dm, "chordal")
+        lam = _series_of(space, dm, measure, tol)
+        return gam * lam + tau_sum - avg_chordal(space) * n**2
+    if route not in ("closed", "mc"):
+        raise DomainError(f"unknown route {route!r}")
+    n, tau_sum = _count_and_pair_sum(space, pts)
     target = avg_chordal(space) * n**2
     if route == "closed":
         lam = _closed_from_sum(space, n, tau_sum)
         return gam * lam + tau_sum - target
-    if route == "series":
-        lam = _series_of(space, dm, measure, tol)
-        return gam * lam + tau_sum - target
-    if route == "mc":
-        est = discrepancy_mc(space, pts, samples, seed=seed, workers=workers)
-        return McEstimate(gam * est.value + tau_sum - target,
-                          gam * est.stderr, est.samples, est.seed)
-    raise DomainError(f"unknown route {route!r}")
+    est = discrepancy_mc(space, pts, samples, seed=seed, workers=workers)
+    return McEstimate(gam * est.value + tau_sum - target,
+                      gam * est.stderr, est.samples, est.seed)

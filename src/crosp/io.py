@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .spaces import Family, PointSet, make_space
+from .spaces import Family, PointSet, _point_shape, make_space
 
 __all__ = [
     "dumps_stable",
@@ -92,22 +92,16 @@ def pointset_from_dict(doc: dict) -> PointSet:
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed point-set document: {exc}") from exc
     space = make_space(fam, n)
-    shaped = []
-    if space.family is Family.SPHERE:
-        shape = (space.d + 1,)
-    elif space.family is Family.OCT_PROJ:
-        shape = (3, 3, 8)
-    else:
-        shape = (space.n + 1, space.d0)
+    shape = _point_shape(space)
     expected = int(np.prod(shape))
-    for row in rows:
-        arr = np.asarray(row, dtype=float)
-        if arr.size != expected:
-            raise DomainError(
-                f"point has {arr.size} coordinates, expected {expected} for {space}"
-            )
-        shaped.append(arr.reshape(shape))
-    return PointSet.from_points(space, shaped, label)
+    try:
+        arr = np.array(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"malformed point coordinates: {exc}") from exc
+    if arr.ndim == 0 or arr.size != len(arr) * expected:
+        raise DomainError(f"each point must have {expected} coordinates for {space}")
+    # PointSet checks that every row is a point of the space
+    return PointSet(space, arr.reshape((len(arr),) + shape), label)
 
 
 def save_pointset(path, pts: PointSet):

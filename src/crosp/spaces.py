@@ -139,33 +139,10 @@ class Point:
         self.validate()
 
     def validate(self):
-        fam = self.space.family
-        if not np.all(np.isfinite(self.data)):
-            raise DomainError("point coordinates must be finite")
-        if fam is Family.SPHERE:
-            if self.data.shape != (self.space.d + 1,):
-                raise DomainError(f"sphere point must have shape ({self.space.d + 1},)")
-            if abs(np.linalg.norm(self.data) - 1) > 1e-12:
-                raise DomainError("sphere point is not on the unit sphere")
-        elif fam is Family.OCT_PROJ:
-            P = self.data
-            if P.shape != (3, 3, 8):
-                raise DomainError("octonionic point must have shape (3, 3, 8)")
-            herm = algebra.cd_conj(P).transpose(1, 0, 2)
-            if np.max(np.abs(P - herm)) > 1e-10:
-                raise DomainError("octonionic point matrix is not Hermitian")
-            if abs(P[0, 0, 0] + P[1, 1, 0] + P[2, 2, 0] - 1) > 1e-10:
-                raise DomainError("octonionic point matrix must have trace 1")
-            sq = _oct_mat_mul(P, P)
-            if np.max(np.abs(sq - P)) > 1e-10:
-                raise DomainError("octonionic point matrix is not idempotent")
-        else:
-            if self.data.shape != (self.space.n + 1, self.space.d0):
-                raise DomainError(
-                    f"projective point must have shape ({self.space.n + 1}, {self.space.d0})"
-                )
-            if abs(np.linalg.norm(self.data) - 1) > 1e-12:
-                raise DomainError("projective representative must have unit norm")
+        shape = _point_shape(self.space)
+        if self.data.shape != shape:
+            raise DomainError(f"a point of {self.space} must have shape {shape}")
+        _check_rows(self.space, self.data[None])
 
     @property
     def flat(self) -> np.ndarray:
@@ -184,12 +161,13 @@ class PointSet:
         arr = np.asarray(self.points, dtype=float)
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
-        if arr.size and arr.shape[1:] != _point_shape(self.space):
+        if arr.size == 0:
+            return
+        if arr.shape[1:] != _point_shape(self.space):
             raise DomainError(
                 f"point array shape {arr.shape[1:]} does not match space {self.space}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("point coordinates must be finite")
+        _check_rows(self.space, arr)
 
     def __len__(self) -> int:
         return 0 if self.points.size == 0 else self.points.shape[0]
@@ -218,6 +196,32 @@ def _point_shape(space: SpaceSpec):
     if space.family is Family.OCT_PROJ:
         return (3, 3, 8)
     return (space.n + 1, space.d0)
+
+
+def _check_rows(space: SpaceSpec, X: np.ndarray) -> None:
+    """Raise DomainError unless every row of a stacked point array is a point.
+
+    Rows must be finite unit vectors (spheres), unit representatives
+    (rp/cp/hp), or Hermitian idempotents of trace 1 (op2).  O(N m).
+    """
+    if not np.all(np.isfinite(X)):
+        raise DomainError("point coordinates must be finite")
+    fam = space.family
+    if fam is Family.OCT_PROJ:
+        herm = algebra.cd_conj(X).swapaxes(1, 2)
+        if np.max(np.abs(X - herm)) > 1e-10:
+            raise DomainError("octonionic point matrix is not Hermitian")
+        if np.max(np.abs(X[:, 0, 0, 0] + X[:, 1, 1, 0] + X[:, 2, 2, 0] - 1)) > 1e-10:
+            raise DomainError("octonionic point matrix must have trace 1")
+        if np.max(np.abs(_oct_mat_mul(X, X) - X)) > 1e-10:
+            raise DomainError("octonionic point matrix is not idempotent")
+        return
+    flat = X.reshape(len(X), -1)
+    norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    if np.max(np.abs(norms - 1)) > 1e-12:
+        if fam is Family.SPHERE:
+            raise DomainError("sphere point is not on the unit sphere")
+        raise DomainError("projective representative must have unit norm")
 
 
 @dataclass(frozen=True)
@@ -289,8 +293,8 @@ _SINE_RULE = _sine_rule()
 
 
 def _oct_mat_mul(A, B):
-    """Product of 3x3 octonionic matrices stored as (3, 3, 8)."""
-    return np.sum(algebra.cd_mul(A[:, :, None], B[None]), axis=1)
+    """Products of 3x3 octonionic matrices stored as (..., 3, 3, 8)."""
+    return np.sum(algebra.cd_mul(A[..., :, :, None, :], B[..., None, :, :, :]), axis=-3)
 
 
 def _check_same_space(space, *pts):

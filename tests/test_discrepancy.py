@@ -1,10 +1,12 @@
 """Pair sums, the three discrepancy routes, and invariance residuals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from crosp import discrepancy
 from crosp.discrepancy import (
     discrepancy_closed,
     discrepancy_mc,
@@ -63,10 +65,15 @@ class TestPairSum:
             2 * math.pi, rel=1e-14)
 
     def test_distance_matrix_input(self):
+        # the tiled upper-triangle sum of a point set against its full matrix
         rng = np.random.default_rng(9)
-        pts = sample_uniform(S2, 15, rng)
-        dm = geodesic_matrix(S2, pts.points)
-        assert pair_sum(S2, dm) == pytest.approx(pair_sum(S2, pts), rel=1e-12)
+        for space, n in ((S2, 15), (S2, discrepancy._PAIR_TILE + 150),
+                         (CP2, discrepancy._PAIR_TILE + 150)):
+            pts = sample_uniform(space, n, rng)
+            dm = geodesic_matrix(space, pts.points)
+            for metric in ("chordal", "geodesic"):
+                assert pair_sum(space, dm, metric) == pytest.approx(
+                    pair_sum(space, pts, metric), rel=1e-14)
 
     def test_duplicate_point_adds_twice_its_distances(self):
         rng = np.random.default_rng(10)
@@ -79,6 +86,77 @@ class TestPairSum:
         )
         assert pair_sum(S2, extended) == pytest.approx(pair_sum(S2, pts) + increment,
                                                        rel=1e-12)
+
+    def test_tile_size_invariant(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        pts = sample_uniform(CP2, 300, rng)
+        expected = pair_sum(CP2, pts)
+        for tile in (7, 64, 299, 300):
+            monkeypatch.setattr(discrepancy, "_PAIR_TILE", tile)
+            assert pair_sum(CP2, pts) == expected
+
+    def test_unknown_metric(self):
+        with pytest.raises(DomainError):
+            pair_sum(S1, ANTIPODAL_S1, metric="taxicab")
+
+    def test_memory_bounded_by_tiles(self):
+        # one dense 3000 x 3000 float64 array is 72 MB; the tiled sum never
+        # holds one
+        pts = sample_uniform(S2, 3000, np.random.default_rng(18))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            pair_sum(S2, pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 72e6 / 6
+
+
+def _split_sum(values, cuts):
+    acc = discrepancy._ExactSum()
+    for block in np.split(values, cuts):
+        acc.add(block)
+    return acc.value()
+
+
+class TestExactSum:
+    """The pair-sum accumulator equals math.fsum bit for bit."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(19)
+        tiny = 5e-324
+        mixed = rng.random(5000) * 2.0 ** rng.integers(-1074, 3, 5000)
+        return {
+            "zeros": np.zeros(1000),
+            "subnormals": tiny * rng.integers(1, 2**40, 3000),
+            "signed_subnormals": tiny * rng.integers(-2**52, 2**52, 3000),
+            "one_minus_ulp": np.full(70_001, 1 - 2**-53),
+            "mixed_exponents": mixed,
+            "signed_mixed": mixed * rng.choice([-1.0, 1.0], mixed.size),
+            "cancelling": np.concatenate([mixed, -mixed[::-1], [2.0**-1074]]),
+            "halfway": np.array([1.0, 2.0**-53, 2.0**-106]),
+            "large": rng.random(2000) * 2.0**1000,
+        }
+
+    def test_matches_fsum(self):
+        for name, values in self.cases().items():
+            acc = discrepancy._ExactSum()
+            acc.add(values)
+            assert acc.value() == math.fsum(values.tolist()), name
+
+    def test_block_split_and_order_invariant(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        # small chunks and an early flush exercise every path of the buckets
+        monkeypatch.setattr(discrepancy, "_SUM_CHUNK", 97)
+        monkeypatch.setattr(discrepancy, "_EXACT_ENTRIES", 500)
+        for name, values in self.cases().items():
+            expected = math.fsum(values.tolist())
+            for _ in range(3):
+                cuts = np.sort(rng.integers(0, values.size + 1, rng.integers(0, 20)))
+                shuffled = rng.permutation(values)
+                assert _split_sum(shuffled, cuts) == expected, name
 
 
 class TestClosedRoute:
@@ -99,10 +177,13 @@ class TestClosedRoute:
 
     def test_label_permutation_invariant(self):
         rng = np.random.default_rng(12)
-        pts = sample_uniform(S2, 20, rng)
-        perm = rng.permutation(20)
-        shuffled = PointSet(S2, pts.points[perm])
-        assert discrepancy_closed(S2, shuffled) == discrepancy_closed(S2, pts)
+        # one tile, and more than one tile (the upper triangle of one
+        # labelling holds pairs of the lower triangle of the other)
+        for space, n in ((S2, 20), (S2, discrepancy._PAIR_TILE + 77),
+                         (CP2, discrepancy._PAIR_TILE + 77)):
+            pts = sample_uniform(space, n, rng)
+            shuffled = PointSet(space, pts.points[rng.permutation(n)])
+            assert discrepancy_closed(space, shuffled) == discrepancy_closed(space, pts)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(13)

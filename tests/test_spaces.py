@@ -359,6 +359,34 @@ class TestPointValidation:
         with pytest.raises(DomainError):
             PointSet(parse_space("s2"), np.array([[math.nan, 0.0, 0.0], [3.0, 0.0, 0.0]]))
 
+    def test_point_set_rows_must_be_points(self):
+        s2 = parse_space("s2")
+        with pytest.raises(DomainError):
+            PointSet(s2, np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        with pytest.raises(DomainError):
+            PointSet(parse_space("hp2"), np.ones((2, 3, 4)))
+        rep = np.zeros((2, 3, 2))
+        rep[:, 0, 0] = 1.0
+        rep[1, 1, 1] = 1e-3
+        with pytest.raises(DomainError):
+            PointSet(parse_space("cp2"), rep.copy())
+        rep[1] /= np.linalg.norm(rep[1])
+        assert len(PointSet(parse_space("cp2"), rep)) == 2
+
+    def test_octonionic_point_set_rows_checked(self):
+        op2 = parse_space("op2")
+        good = np.stack([chart_point_oct(0, 0).data,
+                         chart_point_oct([0, 1], [0.3, 0, 0, 0.2]).data])
+        assert len(PointSet(op2, good)) == 2
+        rank2 = np.zeros((3, 3, 8))
+        rank2[0, 0, 0] = rank2[1, 1, 0] = 0.5  # Hermitian, trace 1, not idempotent
+        not_herm = good[1].copy()
+        not_herm[0, 1, 3] += 1e-3
+        trace2 = 2 * good[0]
+        for bad, why in ((not_herm, "Hermitian"), (trace2, "trace"), (rank2, "idempotent")):
+            with pytest.raises(DomainError, match=why):
+                PointSet(op2, np.stack([good[0], bad, good[1]]))
+
     def test_mixed_spaces_rejected(self):
         s2 = parse_space("s2")
         s3 = parse_space("s3")
