@@ -49,6 +49,9 @@ _PAIR_TILE = 512
 # entries the exact accumulator takes at once: 32K-entry chunks ran at about
 # 9 ns per entry, one 1M-entry block at about 18
 _SUM_CHUNK = 32_768
+# largest |theta(x, x)| a distance matrix may carry on its diagonal (radians);
+# geodesic_matrix leaves at most 7e-8 on every catalog space
+_DIAGONAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -144,6 +147,8 @@ def _distance_matrix(dm) -> np.ndarray:
         raise DomainError("distance matrix entries must lie in [0, pi] (radians)")
     if dm.size and np.max(np.abs(dm - dm.T)) > 1e-9:
         raise DomainError("distance matrix must be symmetric")
+    if dm.size and np.max(np.abs(np.diagonal(dm))) > _DIAGONAL_TOL:
+        raise DomainError("distance matrix diagonal must be zero")
     return dm
 
 

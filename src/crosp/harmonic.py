@@ -18,6 +18,10 @@ a coefficient-tail certificate, two consecutive stable refinements, or a
 relaxed check at the hard cap of 10^4 terms.  For the canonical measure the
 tail is exact (a telescoped antidifference), so the first path is a
 certificate; for point-mass measures it is an extrapolated 1/l^2 estimate.
+A chunk of angles keeps only the last partial sums that a window can read,
+in a ring sized from a fixed entry budget.
+
+The coefficient formulas import ``scipy.special.gammaln`` on first call.
 
 Also houses the squared-Jacobi weighted integrals and their alternating-sum
 and Pochhammer-quotient closed forms, including the corrected form of the
@@ -33,7 +37,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .spaces import RadiusMeasure, SpaceSpec, ball_volume, gamma_const
@@ -60,6 +63,10 @@ __all__ = [
 
 SERIES_CAP = 10_000
 _CHECKPOINTS = frozenset((156, 312, 625, 1250, 2500, 5000, SERIES_CAP))
+# entries of the ring of partial sums one series chunk holds (4 MB of
+# float64), and the most angles one chunk takes
+_SERIES_RING_ENTRIES = 2**19
+_SERIES_MAX_ANGLES = 4096
 
 
 def _jacobi_params(space: SpaceSpec):
@@ -88,6 +95,8 @@ def _level_weight(space, ls):
 
     lgamma terms of size l log l are differenced in pairs before the exp.
     """
+    from scipy.special import gammaln
+
     d, d0 = space.d, space.d0
     s = (d + d0) / 2
     return (2 * ls - 1 + s) * np.exp((gammaln(ls + 1) - gammaln(ls + d / 2))
@@ -96,6 +105,8 @@ def _level_weight(space, ls):
 
 def _log_chordal_coeff(space, ls):
     """log c_l: degree-l coefficient of the chordal metric (gamma quotient)."""
+    from scipy.special import gammaln
+
     d, d0 = space.d, space.d0
     return (gammaln((d + 1) / 2) + gammaln(ls + d0 / 2)
             - gammaln(ls + (d + d0 + 1) / 2)
@@ -105,6 +116,8 @@ def _log_chordal_coeff(space, ls):
 
 def _log_poch_ratio(n, alpha, beta_):
     """log of (alpha+1)_n (beta+1)_n / (alpha+beta+3/2)_n (positive arguments)."""
+    from scipy.special import gammaln
+
     return (gammaln(alpha + n + 1) - gammaln(alpha + 1)
             + gammaln(beta_ + n + 1) - gammaln(beta_ + 1)
             - gammaln(alpha + beta_ + 1.5 + n) + gammaln(alpha + beta_ + 1.5))
@@ -118,6 +131,8 @@ def _radial_weights(space, measure, L):
     """
     d, d0 = space.d, space.d0
     if measure.kind == "sine":
+        from scipy.special import gammaln
+
         ls = np.arange(1, L + 1, dtype=float)
         return np.exp(math.log(2.0) + gammaln(ls - 0.5) - gammaln(0.5) - 2 * gammaln(ls)
                       + gammaln(d + 1) + gammaln(d0 + 1) - gammaln(d + d0 + 2)
@@ -193,6 +208,8 @@ def coeff_tail(space: SpaceSpec, l):
 
     Elementwise for an array of levels ``l``.
     """
+    from scipy.special import gammaln
+
     d, d0 = space.d, space.d0
     s = (d + d0) / 2
     log_kappa = math.lgamma((d + 1) / 2) - math.lgamma(0.5) - math.lgamma(d / 2)
@@ -240,22 +257,52 @@ def _adaptive_series(space, theta, t_l, tail_fn, tol):
     order = active[np.argsort(thetas[active])]
     a, b = _jacobi_params(space)
     H = np.cumsum(t_l)
-    for start in range(0, order.size, 256):
-        idx = order[start:start + 256]
+    for chunk in _series_chunks(thetas[order]):
+        idx = order[chunk]
         values[idx] = _series_chunk(thetas[idx], t_l, H, tail_fn, tols[idx], a, b)
     if np.ndim(theta) == 0:
         return float(values[0])
     return values
 
 
+def _full_windows(th):
+    """Degrees in one oscillation period of the Jacobi rows at each angle, capped."""
+    return np.minimum(np.ceil(2 * math.pi / th), SERIES_CAP).astype(int)
+
+
+def _ring_rows(winfull):
+    """Rows of partial sums that every window of these angles fits in.
+
+    A window at checkpoint l spans W <= min(winfull, l // 2) degrees.
+    """
+    return max(min(int(winfull.max()), SERIES_CAP // 2), 1)
+
+
+def _series_chunks(th):
+    """Slices of the ascending angles ``th`` that go through one chunk each.
+
+    The first angle of a chunk has its widest window, so it sets the ring
+    height; a chunk takes as many angles as fit in _SERIES_RING_ENTRIES.
+    """
+    winfull = _full_windows(th)
+    start = 0
+    while start < th.size:
+        fit = _SERIES_RING_ENTRIES // _ring_rows(winfull[start:start + 1])
+        stop = min(start + max(1, min(fit, _SERIES_MAX_ANGLES)), th.size)
+        yield slice(start, stop)
+        start = stop
+
+
 def _series_chunk(th, t_l, H, tail_fn, tols, a, b):
     cap = SERIES_CAP
     n = th.size
-    winfull = np.minimum(np.ceil(2 * math.pi / th), cap).astype(int)
+    winfull = _full_windows(th)
     osc_floor = 6.0 * 2 * math.pi / th
-    # G[l] = sum_{k <= l} t_k phi_k(theta), one column per angle
-    G = np.empty((cap + 1, n))
-    G[0] = 0.0
+    # ring[l % R] = sum_{k <= l} t_k phi_k(theta), one column per angle: the
+    # last R degrees are all that any window reads
+    R = _ring_rows(winfull)
+    ring = np.empty((R, n))
+    ring[0] = 0.0
     is_open = np.ones(n, dtype=bool)
     vals = np.empty(n)
     consec = np.zeros(n, dtype=int)
@@ -266,13 +313,13 @@ def _series_chunk(th, t_l, H, tail_fn, tols, a, b):
     pone = 1.0  # P_l(1)
     for l, p in zip(range(1, cap + 1), rows):
         pone = pone * (a + l) / l
-        G[l] = G[l - 1] + t_l[l - 1] * (p / pone)
+        ring[l % R] = ring[(l - 1) % R] + t_l[l - 1] * (p / pone)
         if l not in _CHECKPOINTS:
             continue
         j = np.flatnonzero(is_open)
         tol = tols[j]
         W = np.maximum(np.minimum(winfull[j], l // 2), 1)
-        vhat = H[l - 1] + tail_fn(l) - _window_means(G, l, j, W)
+        vhat = H[l - 1] + tail_fn(l) - _window_means(ring, l, j, W)
         step = np.abs(vhat - prev_vhat[j])
         stable = (step < tol / 4) & (l >= 625) & (l >= osc_floor[j])
         consec[j] = np.where(stable, consec[j] + 1, 0)
@@ -293,14 +340,17 @@ def _series_chunk(th, t_l, H, tail_fn, tols, a, b):
     return vals
 
 
-def _window_means(G, l, cols, W):
-    """Mean of rows l - W_k + 1 .. l of column cols[k] of G, for every k.
+def _window_means(ring, l, cols, W):
+    """Mean of the partial sums of degrees l - W_k + 1 .. l in column cols[k].
 
-    Each window is reduced as its own contiguous segment, so its mean
-    depends on its own column only, never on the other angles of the chunk.
+    The partial sum of degree i is row i % len(ring) of ``ring``.  Each
+    window is reduced as its own contiguous segment, in degree order, so its
+    mean depends on its own column only, never on the other angles of the
+    chunk or on the height of the ring.
     """
     width = int(W.max())
-    block = G[l - width + 1:l + 1].T[cols]  # one row per column, windows right-aligned
+    degrees = np.arange(l - width + 1, l + 1) % len(ring)
+    block = ring[degrees[None, :], cols[:, None]]  # one row per column, windows right-aligned
     ends = np.arange(1, cols.size + 1) * width
     bounds = np.empty(2 * cols.size - 1, dtype=np.intp)
     bounds[0::2] = ends - W

@@ -133,9 +133,7 @@ class Point:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _frozen(self.data))
         self.validate()
 
     def validate(self):
@@ -158,8 +156,7 @@ class PointSet:
     label: str = ""
 
     def __post_init__(self):
-        arr = np.asarray(self.points, dtype=float)
-        arr.setflags(write=False)
+        arr = _frozen(self.points)
         object.__setattr__(self, "points", arr)
         if arr.size == 0:
             return
@@ -188,6 +185,19 @@ class PointSet:
         if not rows:
             return cls(space, np.zeros((0,) + _point_shape(space)), label)
         return cls(space, np.stack(rows), label)
+
+
+def _frozen(data) -> np.ndarray:
+    """A read-only float array of ``data`` that never freezes the caller's array.
+
+    A writable float64 array comes back from np.asarray as itself, so it is
+    copied; an array its owner has already made read-only is kept.
+    """
+    arr = np.asarray(data, dtype=float)
+    if arr is data and arr.flags.writeable:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
 
 
 def _point_shape(space: SpaceSpec):
@@ -390,7 +400,8 @@ def ball_volume(space: SpaceSpec, r):
     Equals the regularized incomplete beta I_{sin^2(r/2)}(d/2, d0/2).
     """
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0) or np.any(arr > math.pi + 1e-12):
+    # written so that a NaN fails the check
+    if not np.all((arr >= 0) & (arr <= math.pi + 1e-12)):
         raise DomainError("ball radius must lie in [0, pi]")
     x = np.clip(np.sin(np.minimum(arr, math.pi) / 2) ** 2, 0.0, 1.0)
     out = reg_inc_beta(x, space.d / 2, space.d0 / 2)
@@ -449,6 +460,7 @@ def sample_uniform(space: SpaceSpec, count: int, rng: np.random.Generator,
     norms = np.sqrt(np.sum(g.reshape(count, -1) ** 2, axis=1))
     # a Gaussian vector is never numerically zero at these dimensions
     g /= norms.reshape((count,) + (1,) * len(shape))
+    g.setflags(write=False)  # no one else holds g, so PointSet need not copy it
     return PointSet(space, g, label)
 
 

@@ -3,6 +3,9 @@
 Gamma/beta machinery, Pochhammer symbols, Jacobi polynomials, Gauss-Jacobi
 rules, and generalized hypergeometric series at unit argument together with
 Watson's closed form.  Everything here is pure and re-entrant.
+
+scipy is imported inside the two functions that need it (``reg_inc_beta``
+and ``gauss_jacobi``), so a process that never calls them never loads it.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import betainc as _betainc
 
 from .errors import DomainError
 
@@ -38,7 +39,7 @@ __all__ = [
 
 def log_gamma(x):
     """Natural log of Gamma(x) for x > 0."""
-    if x <= 0:
+    if not x > 0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
 
@@ -54,6 +55,8 @@ def signed_log_gamma(x):
 
     Nonpositive integers are poles and raise a domain error.
     """
+    if math.isnan(x):
+        raise DomainError("signed_log_gamma requires a real argument, got nan")
     if _is_nonpositive_int(x):
         raise DomainError(f"Gamma pole at {x}")
     x = float(x)
@@ -66,22 +69,24 @@ def signed_log_gamma(x):
 
 def beta(a, b):
     """Euler beta B(a, b) for a, b > 0."""
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):
         raise DomainError(f"beta requires positive arguments, got ({a}, {b})")
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def reg_inc_beta(x, a, b):
     """Regularized incomplete beta I_x(a, b) on [0, 1]."""
-    if a <= 0 or b <= 0:
+    if not (a > 0 and b > 0):
         raise DomainError(f"reg_inc_beta requires positive a, b, got ({a}, {b})")
+    from scipy.special import betainc
+
     if isinstance(x, np.ndarray):
-        if np.any(x < 0) or np.any(x > 1):
+        if not np.all((x >= 0) & (x <= 1)):
             raise DomainError("reg_inc_beta requires x in [0, 1]")
-        return _betainc(a, b, x)
-    if x < 0 or x > 1:
+        return betainc(a, b, x)
+    if not 0 <= x <= 1:
         raise DomainError(f"reg_inc_beta requires x in [0, 1], got {x}")
-    return float(_betainc(a, b, x))
+    return float(betainc(a, b, x))
 
 
 def rising(a, k):
@@ -143,7 +148,7 @@ def jacobi_at_one(n, alpha, beta_=None):
     """P_n^{(alpha, beta)}(1) = Gamma(alpha+n+1) / (Gamma(n+1) Gamma(alpha+1))."""
     if n < 0 or n != int(n):
         raise DomainError(f"jacobi_at_one requires integer n >= 0, got {n}")
-    if alpha + n + 1 <= 0:
+    if not alpha + n + 1 > 0:
         raise DomainError(f"jacobi_at_one requires alpha + n + 1 > 0, got alpha={alpha}")
     # independent of beta; the argument is kept for signature symmetry
     if alpha + 1 <= 0:
@@ -181,7 +186,7 @@ def gauss_jacobi(m, alpha, beta_):
     """
     if m < 1 or m != int(m):
         raise DomainError(f"gauss_jacobi requires m >= 1, got {m}")
-    if alpha <= -1 or beta_ <= -1:
+    if not (alpha > -1 and beta_ > -1):
         raise DomainError(f"gauss_jacobi requires alpha, beta > -1, got ({alpha}, {beta_})")
     m = int(m)
     ab = alpha + beta_
@@ -202,6 +207,8 @@ def gauss_jacobi(m, alpha, beta_):
     mu0 = 2 ** (ab + 1) * beta(alpha + 1, beta_ + 1)
     if m == 1:
         return QuadratureRule(alpha, beta_, np.array([diag[0]]), np.array([mu0]))
+    from scipy.linalg import eigh_tridiagonal
+
     nodes, vecs = eigh_tridiagonal(diag, off)
     weights = mu0 * vecs[0, :] ** 2
     nodes.setflags(write=False)

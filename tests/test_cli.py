@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crosp
 from crosp import io
 from crosp.cli import main
 from crosp.errors import DomainError
@@ -120,6 +125,16 @@ class TestCli:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("route", ["closed", "series"])
+    def test_nonzero_diagonal_exit_code(self, tmp_path, capsys, route):
+        dm = tmp_path / "diag.csv"
+        dm.write_text("0.5,1\n1,0.5\n")
+        out = tmp_path / "out.json"
+        assert main(["discrepancy", "--in", str(dm), "--space", "s2", "--route", route,
+                     "--no-meta", "--out", str(out)]) == 3
+        assert "diagonal" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_antipodal_closed_value(self, tmp_path, capsys):
         pts = PointSet.from_points(parse_space("s1"),
                                    [np.array([1.0, 0.0]), np.array([-1.0, 0.0])])
@@ -168,3 +183,59 @@ class TestCli:
         pa, pb = json.loads(a.read_text()), json.loads(b.read_text())
         assert pa["config"]["seed"] == pb["config"]["seed"] == 99
         assert pa["points"] == pb["points"]
+
+
+# Runs CLI commands in one fresh interpreter, in order, and prints for each
+# its exit code and whether any scipy module was loaded once it returned.
+_STARTUP_SCRIPT = """
+import json, sys
+from crosp.cli import main
+
+tmp = sys.argv[1]
+pts, out = tmp + "/pts.json", tmp + "/out.json"
+commands = {
+    "spaces": ["spaces"],
+    "gen": ["gen", "--space", "cp2", "--n", "30", "--seed", "5", "--out", pts],
+    "energy": ["energy", "--in", pts],
+    "closed": ["discrepancy", "--in", pts, "--route", "closed"],
+    # the first scipy import happens inside a worker thread
+    "mc": ["discrepancy", "--in", pts, "--route", "mc", "--samples", "4000",
+           "--threads", "2"],
+    "constants": ["constants", "--space", "hp2"],
+    "series": ["discrepancy", "--in", pts, "--route", "series", "--tol", "1e-6"],
+}
+report = {}
+for name, argv in commands.items():
+    if "--out" not in argv:
+        argv = argv + ["--out", out]
+    code = main(argv + ["--no-meta"])
+    report[name] = [code, any(m.split(".")[0] == "scipy" for m in sys.modules)]
+print(json.dumps(report))
+"""
+
+
+class TestStartup:
+    """scipy is imported on first use, so the commands that never need it
+    start without it."""
+
+    @staticmethod
+    def _python(*args):
+        src = str(Path(crosp.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_import_leaves_scipy_unloaded(self):
+        out = self._python("-c", "import sys, crosp, crosp.cli; "
+                                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert out.strip() == "[]"
+
+    def test_commands_load_scipy_only_when_needed(self, tmp_path):
+        report = json.loads(self._python("-c", _STARTUP_SCRIPT, str(tmp_path)))
+        assert report == {
+            "spaces": [0, False], "gen": [0, False], "energy": [0, False],
+            "closed": [0, False], "mc": [0, True], "constants": [0, True],
+            "series": [0, True],
+        }

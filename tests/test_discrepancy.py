@@ -99,6 +99,17 @@ class TestPairSum:
         with pytest.raises(DomainError):
             pair_sum(S1, ANTIPODAL_S1, metric="taxicab")
 
+    def test_distance_matrix_diagonal_must_vanish(self):
+        bad = np.array([[0.5, 1.0], [1.0, 0.5]])
+        for fn in (pair_sum, discrepancy_closed, discrepancy_series):
+            with pytest.raises(DomainError, match="diagonal"):
+                fn(S2, bad)
+        with pytest.raises(DomainError, match="diagonal"):
+            invariance_residual(S2, bad, route="series")
+        # arccos of a rounded cosine leaves noise of about 1e-7 on the diagonal
+        noisy = np.array([[5e-7, 1.0], [1.0, -5e-13]])
+        assert pair_sum(S2, noisy) == 2 * math.sin(0.5)
+
     def test_memory_bounded_by_tiles(self):
         # one dense 3000 x 3000 float64 array is 72 MB; the tiled sum never
         # holds one

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from crosp import harmonic
 from crosp.errors import ConvergenceError, DomainError
 from crosp.harmonic import (
     SERIES_CAP,
@@ -266,15 +267,21 @@ class TestSeries:
         space = parse_space("s3")
         th = 1.234
         assert symdiff_series(space, np.array([th]))[0] == symdiff_series(space, th)
-        # each value depends on its own angle only: 600 shuffled angles span
-        # three 256-angle chunks, and every one must equal, bit for bit, the
-        # angle evaluated alone.  Every tenth angle asks for 1e-5, which the
-        # tail cannot certify within the cap, so the stable-refinement path
-        # is exercised as well as the tail path.
+        # each value depends on its own angle only: 600 angles on [0.05, pi]
+        # and 120 small ones, whose windows span thousands of degrees, are
+        # shuffled together.  They fill three chunks of the series ring, and
+        # every value must equal, bit for bit, the angle evaluated alone.
+        # Every tenth of the 600 asks for 1e-5, which the tail cannot certify
+        # within the cap, so the stable-refinement path is exercised as well
+        # as the tail path.
         space = parse_space("cp2")
         rng = np.random.default_rng(7)
-        thetas = rng.permutation(np.linspace(0.05, math.pi, 600))
-        tols = np.where(np.arange(600) % 10 == 0, 1e-5, 1e-3)
+        perm = rng.permutation(720)
+        thetas = np.concatenate([np.linspace(0.05, math.pi, 600),
+                                 np.geomspace(1.2e-3, 4e-3, 120)])[perm]
+        tols = np.concatenate([np.where(np.arange(600) % 10 == 0, 1e-5, 1e-3),
+                               np.full(120, 1e-3)])[perm]
+        assert len(list(harmonic._series_chunks(np.sort(thetas)))) >= 3
         for measure in (CANON, POINT_MASSES):
             together = symdiff_series(space, thetas, measure, tols)
             alone = [symdiff_series(space, th, measure, tol) for th, tol in zip(thetas, tols)]

@@ -235,6 +235,11 @@ class TestBallVolume:
         with pytest.raises(DomainError):
             ball_volume(parse_space("s2"), 3.5)
 
+    @pytest.mark.parametrize("r", [math.nan, np.array([0.5, math.nan])])
+    def test_nan_rejected(self, r):
+        with pytest.raises(DomainError):
+            ball_volume(parse_space("s2"), r)
+
 
 class TestConstants:
     @pytest.mark.parametrize("code,expected", [
@@ -369,7 +374,7 @@ class TestPointValidation:
         rep[:, 0, 0] = 1.0
         rep[1, 1, 1] = 1e-3
         with pytest.raises(DomainError):
-            PointSet(parse_space("cp2"), rep.copy())
+            PointSet(parse_space("cp2"), rep)
         rep[1] /= np.linalg.norm(rep[1])
         assert len(PointSet(parse_space("cp2"), rep)) == 2
 
@@ -386,6 +391,24 @@ class TestPointValidation:
         for bad, why in ((not_herm, "Hermitian"), (trace2, "trace"), (rank2, "idempotent")):
             with pytest.raises(DomainError, match=why):
                 PointSet(op2, np.stack([good[0], bad, good[1]]))
+
+    def test_caller_array_stays_writable(self):
+        s2 = parse_space("s2")
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        pts = PointSet(s2, a)
+        x = np.array([0.0, 1.0, 0.0])
+        p = Point(s2, x)
+        a[0, 0] = 0.5
+        x[1] = 0.5
+        assert pts.points[0, 0] == 1.0 and p.data[1] == 1.0
+        for stored in (pts.points, p.data, pts[1].data):
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError):
+                stored[0] = 0.0
+        # a view into the caller's array is copied too, not frozen
+        view = a[1:]
+        PointSet(s2, view)
+        view[0, 2] = 1.0
 
     def test_mixed_spaces_rejected(self):
         s2 = parse_space("s2")

@@ -48,7 +48,7 @@ class TestLogGamma:
         exact = float(sympy.loggamma(sympy.Rational(x).limit_denominator(10**6)).evalf(30))
         assert log_gamma(x) == pytest.approx(exact, rel=1e-13, abs=1e-14)
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
+    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, math.nan])
     def test_domain(self, x):
         with pytest.raises(DomainError):
             log_gamma(x)
@@ -76,6 +76,10 @@ class TestSignedLogGamma:
         with pytest.raises(DomainError):
             signed_log_gamma(-3)
 
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            signed_log_gamma(math.nan)
+
 
 class TestBeta:
     def test_unit(self):
@@ -98,6 +102,11 @@ class TestBeta:
     def test_domain(self):
         with pytest.raises(DomainError):
             beta(0, 1)
+
+    @pytest.mark.parametrize("a,b", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_rejected(self, a, b):
+        with pytest.raises(DomainError):
+            beta(a, b)
 
 
 class TestRegIncBeta:
@@ -122,6 +131,17 @@ class TestRegIncBeta:
     def test_domain(self):
         with pytest.raises(DomainError):
             reg_inc_beta(1.2, 1, 1)
+
+    @pytest.mark.parametrize("x,a,b", [
+        (math.nan, 1.0, 1.0),
+        (np.array([0.2, math.nan]), 1.0, 1.0),
+        (0.5, math.nan, 1.0),
+        (0.5, 1.0, math.nan),
+        (np.array([0.5]), math.nan, 1.0),
+    ])
+    def test_nan_rejected(self, x, a, b):
+        with pytest.raises(DomainError):
+            reg_inc_beta(x, a, b)
 
 
 class TestPochhammer:
@@ -234,6 +254,10 @@ class TestJacobiAtOne:
         with pytest.raises(DomainError):
             jacobi_at_one(1, -2.5)
 
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            jacobi_at_one(2, math.nan)
+
 
 def _moment(alpha, beta_, j):
     """Integral of (1-t)^alpha (1+t)^beta t^j over [-1, 1].
@@ -303,6 +327,11 @@ class TestGaussJacobi:
             gauss_jacobi(0, 0, 0)
         with pytest.raises(DomainError):
             gauss_jacobi(3, -1, 0)
+
+    @pytest.mark.parametrize("alpha,beta_", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_rejected(self, alpha, beta_):
+        with pytest.raises(DomainError):
+            gauss_jacobi(3, alpha, beta_)
 
 
 class TestHyp3F2:
