@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["cd_mul", "cd_conj", "cd_norm", "sesquilinear_tensor", "as_element"]
+__all__ = ["cd_mul", "cd_conj", "sesquilinear_tensor", "as_element"]
 
 
 def as_element(x, dim):
@@ -49,11 +49,6 @@ def cd_mul(x, y):
     real = cd_mul(a, c) - cd_mul(cd_conj(d), b)
     imag = cd_mul(d, a) + cd_mul(b, cd_conj(c))
     return np.concatenate([real, imag], axis=-1)
-
-
-def cd_norm(x):
-    """Euclidean norm (the multiplicative algebra norm for dim <= 8)."""
-    return float(np.sqrt(np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)))
 
 
 @lru_cache(maxsize=None)

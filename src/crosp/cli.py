@@ -37,15 +37,17 @@ def _resolve_seed(args) -> int:
 
 
 def _config_dict(args, seed) -> dict:
+    # --threads changes no result, so it is reported under meta
     cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("func",) and v is not None}
+           if k not in ("func", "threads") and v is not None}
     cfg["seed"] = seed
     return cfg
 
 
 def _emit(args, doc: dict) -> None:
     if not args.no_meta:
-        doc["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
+        doc["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+                       "threads": args.threads}
     text = io.dumps_stable(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -201,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="RNG seed (falls back to CROSP_SEED, then 0)")
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker count for Monte Carlo sharding")
+                        help="worker threads for Monte Carlo blocks; results do not "
+                             "depend on it")
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write output to this path")
     common.add_argument("--format", choices=("json", "csv"),

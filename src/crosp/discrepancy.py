@@ -9,6 +9,8 @@ independent cross-checks.
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -41,7 +43,10 @@ __all__ = [
     "invariance_residual",
 ]
 
-_MC_BATCH = 65_536
+# samples per Monte Carlo block: one block's (N, block) cos theta matrix is
+# 3.3 MB at N = 100, against 52 MB for a 65 536-sample batch; 2048 to 16384
+# ran within noise on hp2 on a 2-core Xeon
+_MC_BLOCK = 4096
 # rows and columns of one kernel tile of a pair sum (2 MB of float64); 256 to
 # 1024 ran within noise at N = 4000 on a 2-core Xeon, smaller tiles pay the
 # per-tile embedding on hp2
@@ -281,29 +286,67 @@ def _series_of(space, dm, measure, tol) -> float:
     return float(n * mean + 2 * np.sum(mean - off))
 
 
-def _shard_sizes(total: int, workers: int):
-    base = total // workers
-    out = [base] * workers
-    for i in range(total - base * workers):
-        out[i] += 1
-    return [s for s in out if s > 0]
+def _block_rng(root, block: int) -> np.random.Generator:
+    """The stream of one Monte Carlo block, keyed by the root seed and its index."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=root,
+                                                        spawn_key=(block,)))
 
 
-def _mc_shard(space, X, n, seed, shard_index, count):
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                       spawn_key=(shard_index,)))
-    vals = np.empty(count)
-    done = 0
-    while done < count:
-        batch = min(_MC_BATCH, count - done)
-        centers = sample_uniform(space, batch, rng).points
-        r = np.arccos(1 - 2 * rng.random(batch))
-        cosd = cos_geodesic_matrix(space, X, centers)  # (n, batch)
-        counts = np.sum(cosd > np.cos(r)[None, :], axis=0)
-        v = ball_volume(space, r)
-        vals[done:done + batch] = 2.0 * (counts - n * v) ** 2
-        done += batch
-    return vals
+def _block_moments(vals):
+    """(count, mean, M2) of one block's sample values."""
+    mean = float(vals.mean())
+    dev = vals - mean
+    return vals.size, mean, float(dev @ dev)
+
+
+def _chan_merge(a, b):
+    """(count, mean, M2) of two disjoint samples from those of each part.
+
+    The pairwise update of Chan, Golub & LeVeque, "Algorithms for computing
+    the sample variance" (Amer. Statist. 1983).
+    """
+    na, ma, m2a = a
+    nb, mb, m2b = b
+    n = na + nb
+    delta = mb - ma
+    return n, ma + delta * nb / n, m2a + m2b + delta * delta * (na * nb / n)
+
+
+def _in_order(ex, fn, items, window):
+    """fn of each item on executor ex, yielded in item order, at most
+    ``window`` calls submitted and not yet yielded."""
+    pending = collections.deque()
+    for item in items:
+        pending.append(ex.submit(fn, item))
+        if len(pending) == window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+def _mc_mean(block_values, samples: int, root, workers: int = 1):
+    """(mean, stderr) of ``samples`` values drawn in fixed-size blocks.
+
+    Block k holds samples k*_MC_BLOCK onwards (the last one may be short)
+    and draws them by ``block_values(stream, count)`` from its own stream
+    ``_block_rng(root, k)``.  Workers only schedule blocks; their moments
+    are merged in block order, so the result is bit-identical for every
+    worker count.  At most two blocks per worker are in flight, so memory
+    is O(block) whatever the sample count.
+    """
+    blocks = range(-(-samples // _MC_BLOCK))
+
+    def run(k):
+        count = min(_MC_BLOCK, samples - k * _MC_BLOCK)
+        return _block_moments(block_values(_block_rng(root, k), count))
+
+    if workers == 1 or len(blocks) == 1:
+        total = functools.reduce(_chan_merge, map(run, blocks))
+    else:
+        with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as ex:
+            total = functools.reduce(_chan_merge, _in_order(ex, run, blocks, 2 * workers))
+    n, mean, m2 = total
+    return mean, math.sqrt(m2 / (n - 1) / n)
 
 
 def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
@@ -313,7 +356,7 @@ def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
     Centers are drawn uniformly and radii with density sin(r)/2 on [0, pi]
     (inverse CDF r = arccos(1 - 2u)); the factor 2 restores the canonical
     measure's total mass.  Ball membership uses the strict inequality
-    theta < r.  Deterministic for fixed (seed, workers).
+    theta < r.  Deterministic for a fixed seed, whatever the worker count.
     """
     if not isinstance(pts, PointSet):
         raise DomainError("the Monte Carlo route requires an explicit point set")
@@ -323,17 +366,15 @@ def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
     if workers < 1:
         raise DomainError("workers must be >= 1")
     n = len(pts)
-    sizes = _shard_sizes(int(samples), int(workers))
-    if len(sizes) == 1:
-        chunks = [_mc_shard(space, X, n, seed, 0, sizes[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(sizes)) as ex:
-            futs = [ex.submit(_mc_shard, space, X, n, seed, i, c)
-                    for i, c in enumerate(sizes)]
-            chunks = [f.result() for f in futs]
-    vals = np.concatenate(chunks)
-    value = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(vals.size))
+
+    def block_values(stream, count):
+        centers = sample_uniform(space, count, stream).points
+        r = np.arccos(1 - 2 * stream.random(count))
+        cosd = cos_geodesic_matrix(space, X, centers)  # (n, count)
+        dev = np.count_nonzero(cosd > np.cos(r), axis=0) - n * ball_volume(space, r)
+        return 2.0 * dev * dev
+
+    value, stderr = _mc_mean(block_values, int(samples), seed, int(workers))
     return McEstimate(value, stderr, int(samples), int(seed))
 
 
@@ -344,31 +385,30 @@ def symdiff_direct(space: SpaceSpec, x, y, measure: RadiusMeasure = None,
     volume estimates of the ball intersections.
 
     Independent of the zonal expansion; serves as its stochastic oracle.
+    Samples are drawn in the blocks of ``discrepancy_mc``, keyed by ``seed``,
+    or by a root drawn from ``rng`` when one is given.
     """
     if measure is None:
         measure = RadiusMeasure.canonical()
-    if rng is None:
-        rng = np.random.default_rng(seed)
     if mc_samples < 2:
         raise DomainError("need at least 2 samples for a standard error")
+    root = seed if rng is None else int(rng.integers(2**63))
     xd = x.data if isinstance(x, Point) else Point(space, np.asarray(x, float)).data
     yd = y.data if isinstance(y, Point) else Point(space, np.asarray(y, float)).data
     r_nodes, r_weights = measure.rule()
     const = float(np.dot(r_weights, ball_volume(space, r_nodes)))
     pair = np.stack([xd, yd])
-    gvals = np.empty(int(mc_samples))
-    done = 0
-    while done < mc_samples:
-        batch = min(_MC_BATCH, int(mc_samples) - done)
-        z = sample_uniform(space, batch, rng).points
-        cosd = cos_geodesic_matrix(space, pair, z)  # (2, batch)
-        cos_r = np.cos(r_nodes)
-        both = (cosd[0][:, None] > cos_r[None, :]) & (cosd[1][:, None] > cos_r[None, :])
-        gvals[done:done + batch] = both @ r_weights
-        done += batch
-    value = const - float(gvals.mean())
-    stderr = float(gvals.std(ddof=1) / math.sqrt(gvals.size))
-    return McEstimate(value, stderr, int(mc_samples), int(seed))
+    cos_r = np.cos(r_nodes)
+
+    def block_values(stream, count):
+        z = sample_uniform(space, count, stream).points
+        # z lies in both balls of radius r exactly when it lies in the ball
+        # around the farther of x and y, the one of smaller cos theta
+        cos_far = cos_geodesic_matrix(space, pair, z).min(axis=0)
+        return (cos_far[:, None] > cos_r) @ r_weights
+
+    mean, stderr = _mc_mean(block_values, int(mc_samples), root)
+    return McEstimate(const - mean, stderr, int(mc_samples), int(seed))
 
 
 def lp_symdiff(space: SpaceSpec, theta, measure: RadiusMeasure = None,

@@ -40,8 +40,8 @@ import numpy as np
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .spaces import RadiusMeasure, SpaceSpec, ball_volume, gamma_const
-from .specfun import (beta, gauss_jacobi, jacobi_at_one, jacobi_eval, jacobi_rows, rising,
-                      falling)
+from .specfun import (beta, check_order, gauss_jacobi, jacobi_at_one, jacobi_eval,
+                      jacobi_rows, rising, falling)
 
 __all__ = [
     "ExpansionCoeffs",
@@ -75,14 +75,13 @@ def _jacobi_params(space: SpaceSpec):
 
 def zonal_phi(space: SpaceSpec, l: int, theta: float) -> float:
     """Zonal function phi_l: the normalized Jacobi polynomial of cos(theta)."""
-    if l < 0 or l != int(l):
-        raise DomainError(f"zonal level must be a nonnegative integer, got {l}")
+    l = check_order(l, 0, "zonal level")
     if not 0 <= theta <= math.pi:
         raise DomainError(f"theta must lie in [0, pi], got {theta}")
     if l == 0:
         return 1.0
     a, b = _jacobi_params(space)
-    val = jacobi_eval(int(l), a, b, math.cos(theta)) / jacobi_at_one(int(l), a, b)
+    val = jacobi_eval(l, a, b, math.cos(theta)) / jacobi_at_one(l, a, b)
     return min(1.0, max(-1.0, val))
 
 
@@ -143,15 +142,9 @@ def _radial_weights(space, measure, L):
     return np.array([np.dot(weights, p**2 * w_geom) for p in rows], dtype=float)
 
 
-def _check_level(l):
-    if l < 1 or l != int(l):
-        raise DomainError(f"level must be a positive integer, got {l}")
-
-
 def level_weight(space: SpaceSpec, l: int) -> float:
     """Weight of the degree-l eigenspace in the chordal expansion."""
-    _check_level(l)
-    return float(_level_weight(space, int(l)))
+    return float(_level_weight(space, check_order(l, 1, "level")))
 
 
 def chordal_coeff(space: SpaceSpec, l: int) -> float:
@@ -161,8 +154,7 @@ def chordal_coeff(space: SpaceSpec, l: int) -> float:
     well and must agree with the gamma quotient; disagreement raises a
     consistency error.
     """
-    _check_level(l)
-    l = int(l)
+    l = check_order(l, 1, "level")
     value = float(np.exp(_log_chordal_coeff(space, l)))
     if l < 160:
         d, d0 = space.d, space.d0
@@ -178,8 +170,7 @@ def chordal_coeff(space: SpaceSpec, l: int) -> float:
 
 def radial_weight(space: SpaceSpec, l: int, measure: RadiusMeasure) -> float:
     """Radial weight of degree l: squared-Jacobi integral against the measure."""
-    _check_level(l)
-    return float(_radial_weights(space, measure, int(l))[-1])
+    return float(_radial_weights(space, measure, check_order(l, 1, "level"))[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +418,7 @@ def _exactable(*xs):
 
 def poch_ratio(n: int, alpha, beta_):
     """(alpha+1)_n (beta+1)_n / (alpha+beta+3/2)_n; exact for exact inputs."""
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
+    n = check_order(n, 0, "n")
     three_half = Fraction(3, 2) if _exactable(alpha, beta_) else 1.5
     num = rising(alpha + 1, n) * rising(beta_ + 1, n)
     den = rising(alpha + beta_ + three_half, n)
@@ -441,9 +430,7 @@ def leibniz_sum(n: int, alpha, beta_):
 
     Exact in rational arithmetic for rational inputs.
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
+    n = check_order(n, 0, "n")
     exact = _exactable(alpha, beta_)
     total = Fraction(0) if exact else 0.0
     one = Fraction(1) if exact else 1.0
@@ -466,9 +453,7 @@ def leibniz_closed(n: int, alpha, beta_, corrected: bool = True):
     n=1, alpha=beta=0 -- and is kept only so the verification suite can
     demonstrate the failure.
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
+    n = check_order(n, 0, "n")
     half = Fraction(1, 2) if _exactable(alpha, beta_) else 0.5
     out = 4**n * rising(alpha + 1, n) * rising(beta_ + 1, n) * rising(alpha + beta_ + 1, n)
     if corrected:
@@ -483,9 +468,7 @@ def jacobi_sq_integral(n: int, alpha, beta_, route: str = "closed") -> float:
     integrates exactly with an (n+2)-node Gauss rule for the doubled weight
     (requires alpha, beta > -1/2 so the weight is integrable).
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
+    n = check_order(n, 0, "n")
     alpha = float(alpha)
     beta_ = float(beta_)
     if route == "closed":

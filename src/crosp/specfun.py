@@ -44,6 +44,21 @@ def log_gamma(x):
     return math.lgamma(x)
 
 
+def check_order(k, least: int, what: str) -> int:
+    """k as an int if it is an integer >= least; DomainError otherwise.
+
+    A NaN k fails the comparison; ``int`` of an infinite one raises
+    OverflowError, which is turned into the DomainError too.
+    """
+    try:
+        ok = k >= least and k == int(k)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise DomainError(f"{what} must be an integer >= {least}, got {k}")
+    return int(k)
+
+
 def _is_nonpositive_int(x) -> bool:
     if isinstance(x, Fraction):
         return x.denominator == 1 and x <= 0
@@ -91,20 +106,18 @@ def reg_inc_beta(x, a, b):
 
 def rising(a, k):
     """Rising factorial (a)_k = a (a+1) ... (a+k-1); exact for exact inputs."""
-    if k < 0 or k != int(k):
-        raise DomainError(f"rising requires a nonnegative integer k, got {k}")
+    k = check_order(k, 0, "rising: k")
     out = 1
-    for i in range(int(k)):
+    for i in range(k):
         out = out * (a + i)
     return out
 
 
 def falling(a, k):
     """Falling factorial a (a-1) ... (a-k+1) = (-1)^k (-a)_k."""
-    if k < 0 or k != int(k):
-        raise DomainError(f"falling requires a nonnegative integer k, got {k}")
+    k = check_order(k, 0, "falling: k")
     out = 1
-    for i in range(int(k)):
+    for i in range(k):
         out = out * (a - i)
     return out
 
@@ -135,26 +148,24 @@ def jacobi_eval(n, alpha, beta_, t):
 
     Valid for alpha, beta > -1 and t in [-1, 1].
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"jacobi_eval requires integer n >= 0, got {n}")
+    n = check_order(n, 0, "jacobi_eval: n")
     if not (alpha > -1 and beta_ > -1):
         raise DomainError(f"jacobi_eval requires alpha, beta > -1, got ({alpha}, {beta_})")
     if not -1 <= t <= 1:
         raise DomainError(f"jacobi_eval requires t in [-1, 1], got {t}")
-    return next(itertools.islice(jacobi_rows(alpha, beta_, t), int(n), None))
+    return next(itertools.islice(jacobi_rows(alpha, beta_, t), n, None))
 
 
 def jacobi_at_one(n, alpha, beta_=None):
     """P_n^{(alpha, beta)}(1) = Gamma(alpha+n+1) / (Gamma(n+1) Gamma(alpha+1))."""
-    if n < 0 or n != int(n):
-        raise DomainError(f"jacobi_at_one requires integer n >= 0, got {n}")
+    n = check_order(n, 0, "jacobi_at_one: n")
     if not alpha + n + 1 > 0:
         raise DomainError(f"jacobi_at_one requires alpha + n + 1 > 0, got alpha={alpha}")
     # independent of beta; the argument is kept for signature symmetry
     if alpha + 1 <= 0:
         # alpha in (-n-1, -1]: use a pole-free product form
         out = 1.0
-        for i in range(1, int(n) + 1):
+        for i in range(1, n + 1):
             out *= (alpha + i) / i
         return out
     return math.exp(math.lgamma(alpha + n + 1) - math.lgamma(n + 1) - math.lgamma(alpha + 1))
@@ -184,11 +195,9 @@ def gauss_jacobi(m, alpha, beta_):
     Built from the Jacobi recurrence coefficients via the symmetric
     tridiagonal eigenvalue method.
     """
-    if m < 1 or m != int(m):
-        raise DomainError(f"gauss_jacobi requires m >= 1, got {m}")
+    m = check_order(m, 1, "gauss_jacobi: m")
     if not (alpha > -1 and beta_ > -1):
         raise DomainError(f"gauss_jacobi requires alpha, beta > -1, got ({alpha}, {beta_})")
-    m = int(m)
     ab = alpha + beta_
     k = np.arange(m, dtype=float)
     diag = np.empty(m)

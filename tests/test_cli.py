@@ -107,6 +107,23 @@ class TestCli:
         doc = json.loads(first)
         assert doc["stderr"] > 0
 
+    @pytest.mark.parametrize("command", [
+        ["discrepancy", "--route", "mc", "--samples", "20000"],
+        ["verify", "invariance", "--samples", "20000"],
+    ], ids=["mc", "verify"])
+    def test_output_independent_of_threads(self, tmp_path, capsys, command):
+        pts = tmp_path / "pts.json"
+        main(["gen", "--space", "hp2", "--n", "20", "--seed", "2", "--no-meta",
+              "--out", str(pts)])
+        if command[0] == "discrepancy":
+            command = command + ["--in", str(pts)]
+        outs = []
+        for threads in ("1", "2"):
+            main(command + ["--seed", "4", "--threads", threads, "--no-meta"])
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "threads" not in outs[0]
+
     def test_distance_matrix_input(self, tmp_path, capsys):
         dm = tmp_path / "dm.csv"
         theta = 2.0

@@ -32,6 +32,7 @@ from crosp.spaces import (
 S1 = parse_space("s1")
 S2 = parse_space("s2")
 S3 = parse_space("s3")
+HP2 = parse_space("hp2")
 CP2 = parse_space("cp2")
 OP2 = parse_space("op2")
 
@@ -265,12 +266,46 @@ class TestMcRoute:
                               50_000, seed=7, workers=2)
         assert est1 == est2
 
-    def test_worker_split_changes_stream_not_mean(self):
-        pts = sample_uniform(S2, 10, np.random.default_rng(1))
-        est1 = discrepancy_mc(S2, pts, 80_000, seed=7, workers=1)
-        est3 = discrepancy_mc(S2, pts, 80_000, seed=7, workers=3)
-        assert est1 != est3
-        assert abs(est1.value - est3.value) <= 3 * (est1.stderr + est3.stderr)
+    @pytest.mark.parametrize("space", [S2, HP2], ids=["s2", "hp2"])
+    def test_workers_bit_identical(self, space):
+        # ten blocks, the last one partial: more than two blocks per worker
+        # are scheduled, so the in-order window is exercised
+        samples = 9 * discrepancy._MC_BLOCK + 123
+        pts = sample_uniform(space, 10, np.random.default_rng(1))
+        est = [discrepancy_mc(space, pts, samples, seed=7, workers=w) for w in (1, 2, 3)]
+        assert est[0] == est[1] == est[2]
+        assert est[0].samples == samples
+
+    def test_merge_matches_two_pass(self, monkeypatch):
+        blocks = []
+        moments = discrepancy._block_moments
+
+        def record(vals):
+            blocks.append(np.array(vals))
+            return moments(vals)
+
+        monkeypatch.setattr(discrepancy, "_block_moments", record)
+        samples = 5 * discrepancy._MC_BLOCK + 77
+        pts = sample_uniform(S2, 20, np.random.default_rng(3))
+        est = discrepancy_mc(S2, pts, samples, seed=11, workers=1)
+        vals = np.concatenate(blocks)
+        assert [b.size for b in blocks] == [discrepancy._MC_BLOCK] * 5 + [77]
+        assert est.value == pytest.approx(vals.mean(), rel=1e-12)
+        stderr = vals.std(ddof=1) / math.sqrt(samples)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12)
+
+    def test_memory_independent_of_samples(self):
+        # the engine keeps no per-sample array: one (100, 10^6) cos theta
+        # matrix would be 800 MB, one value per sample 8 MB
+        pts = sample_uniform(HP2, 100, np.random.default_rng(4))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            discrepancy_mc(HP2, pts, 1_000_000, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_requires_point_set(self):
         with pytest.raises(DomainError):
@@ -303,6 +338,15 @@ class TestSymdiffDirect:
         y = Point(S2, np.array([math.sin(theta), 0.0, math.cos(theta)]))
         est = symdiff_direct(S2, x, y, mc_samples=200_000, seed=34)
         assert abs(est.value - symdiff_series(S2, theta)) <= 3 * est.stderr
+
+    def test_given_rng_fixes_result(self):
+        x = Point(S2, np.array([0.0, 0.0, 1.0]))
+        y = Point(S2, np.array([1.0, 0.0, 0.0]))
+        a = symdiff_direct(S2, x, y, mc_samples=10_000, rng=np.random.default_rng(35))
+        b = symdiff_direct(S2, x, y, mc_samples=10_000, rng=np.random.default_rng(35))
+        c = symdiff_direct(S2, x, y, mc_samples=10_000, rng=np.random.default_rng(36))
+        assert a == b
+        assert a != c
 
 
 class TestLpSymdiff:

@@ -60,6 +60,19 @@ class TestZonal:
                 assert abs(zonal_phi(space, l, theta)) <= 1.0
 
 
+@pytest.mark.parametrize("fn", [
+    level_weight, chordal_coeff, lambda space, l: radial_weight(space, l, CANON),
+    lambda space, l: zonal_phi(space, l, 1.0),
+    *(lambda space, l, f=f: f(l, 0.5, 0.5)
+      for f in (poch_ratio, leibniz_sum, leibniz_closed, jacobi_sq_integral)),
+], ids=["level_weight", "chordal_coeff", "radial_weight", "zonal_phi",
+        "poch_ratio", "leibniz_sum", "leibniz_closed", "jacobi_sq_integral"])
+@pytest.mark.parametrize("l", [math.nan, math.inf, -math.inf, 2.5])
+def test_order_domain(fn, l):
+    with pytest.raises(DomainError):
+        fn(parse_space("s2"), l)
+
+
 class TestLevelWeight:
     def test_sphere_odd_integers(self):
         s2 = parse_space("s2")

@@ -159,6 +159,12 @@ class TestPochhammer:
         assert falling(2, 3) == 0
         assert falling(1.0, 0) == 1
 
+    @pytest.mark.parametrize("fn", [rising, falling])
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -1, 1.5])
+    def test_order_domain(self, fn, k):
+        with pytest.raises(DomainError):
+            fn(1.0, k)
+
     @pytest.mark.parametrize("a", [Fraction(2, 3), Fraction(-7, 4), 5, Fraction(0)])
     @pytest.mark.parametrize("k", [0, 1, 2, 5, 9])
     def test_duality_exact(self, a, k):
@@ -235,6 +241,11 @@ class TestJacobi:
         with pytest.raises(DomainError):
             jacobi_eval(3, math.nan, 0.2, 0.5)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 2.5])
+    def test_degree_domain(self, n):
+        with pytest.raises(DomainError):
+            jacobi_eval(n, 0.5, 0.5, 0.1)
+
 
 class TestJacobiAtOne:
     def test_trivial(self):
@@ -257,6 +268,8 @@ class TestJacobiAtOne:
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
             jacobi_at_one(2, math.nan)
+        with pytest.raises(DomainError):
+            jacobi_at_one(math.nan, 0.5)
 
 
 def _moment(alpha, beta_, j):
@@ -327,6 +340,8 @@ class TestGaussJacobi:
             gauss_jacobi(0, 0, 0)
         with pytest.raises(DomainError):
             gauss_jacobi(3, -1, 0)
+        with pytest.raises(DomainError):
+            gauss_jacobi(math.inf, 0, 0)
 
     @pytest.mark.parametrize("alpha,beta_", [(math.nan, 0.0), (0.0, math.nan)])
     def test_nan_rejected(self, alpha, beta_):
