@@ -37,9 +37,10 @@ def _resolve_seed(args) -> int:
 
 
 def _config_dict(args, seed) -> dict:
-    # --threads changes no result, so it is reported under meta
+    # --threads changes no result and --out only names where it goes, so
+    # both are reported under meta
     cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("func", "threads") and v is not None}
+           if k not in ("func", "threads", "out") and v is not None}
     cfg["seed"] = seed
     return cfg
 
@@ -48,6 +49,8 @@ def _emit(args, doc: dict) -> None:
     if not args.no_meta:
         doc["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
                        "threads": args.threads}
+        if args.out:
+            doc["meta"]["out"] = args.out
     text = io.dumps_stable(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -25,6 +25,8 @@ from .spaces import (
     PointSet,
     RadiusMeasure,
     SpaceSpec,
+    _cos_from_inner,
+    _embedding,
     avg_chordal,
     ball_volume,
     cos_geodesic_matrix,
@@ -48,11 +50,11 @@ __all__ = [
 # ran within noise on hp2 on a 2-core Xeon
 _MC_BLOCK = 4096
 # rows and columns of one kernel tile of a pair sum (2 MB of float64); 256 to
-# 1024 ran within noise at N = 4000 on a 2-core Xeon, smaller tiles pay the
-# per-tile embedding on hp2
+# 1024 ran within noise at N = 4000 on a 2-core Xeon
 _PAIR_TILE = 512
 # entries the exact accumulator takes at once: 32K-entry chunks ran at about
-# 9 ns per entry, one 1M-entry block at about 18
+# 9 ns per entry, one 1M-entry block at about 18; the integer limbs of at
+# most 2**20 entries sum in int64 without overflow
 _SUM_CHUNK = 32_768
 # largest |theta(x, x)| a distance matrix may carry on its diagonal (radians);
 # geodesic_matrix leaves at most 7e-8 on every catalog space
@@ -76,6 +78,13 @@ _EXP_BUCKETS = 1024 - _EXP_MIN + 1
 # the float bucket sums of at most 2**26 entries are exact: below 2**52 in
 # units of 1 (high parts) and below 2**53 in units of 2**-27 (low parts)
 _EXACT_ENTRIES = 2**26
+# a chunk whose values all lie in {0} u [2**-30, 4) is summed in two integer
+# limbs, v = hi * 2**-40 + lo * 2**-83 with hi = floor(v * 2**40) < 2**42
+# and lo < 2**43: v >= 2**-30 has no bit below 2**-82, so lo is an integer
+_LIMB_MIN = 2.0**-30
+_LIMB_MAX = 4.0
+_HI_BITS = 40
+_LO_BITS = 43
 
 
 class _ExactSum:
@@ -89,6 +98,13 @@ class _ExactSum:
     to nearest, as ``math.fsum`` returns it, whatever the order of the values
     or the split of the blocks.  This is the small-superaccumulator idea of
     Neal (arXiv:1505.05571) with numpy's vectorised loops.
+
+    Distances lie in a known range, so most chunks take a cheaper exact
+    path: when every value is 0 or in [2**-30, 4), each splits into two
+    integer limbs whose int64 sums go into the same Python integer, as in
+    the fixed-range accumulators of Demmel & Nguyen, "Parallel reproducible
+    summation" (IEEE TC 2015).  Any other chunk (negative, subnormal, tiny,
+    large or non-finite values) takes the exponent buckets.
     """
 
     def __init__(self):
@@ -101,16 +117,33 @@ class _ExactSum:
         flat = np.ravel(values)
         for start in range(0, flat.size, _SUM_CHUNK):
             chunk = flat[start:start + _SUM_CHUNK]
-            if self._pending + chunk.size > _EXACT_ENTRIES:
-                self._flush()
-            mant, exp = np.frexp(chunk)
-            mant *= 2.0**26
-            high = np.trunc(mant)
-            mant -= high  # the low part
-            exp -= _EXP_MIN
-            self._high += np.bincount(exp, high, _EXP_BUCKETS)
-            self._low += np.bincount(exp, mant, _EXP_BUCKETS)
-            self._pending += chunk.size
+            # NaN fails max(); below _LIMB_MIN, only zeros may occur
+            if chunk.max() < _LIMB_MAX and (chunk.min() >= _LIMB_MIN or np.count_nonzero(
+                    chunk < _LIMB_MIN) == np.count_nonzero(chunk == 0)):
+                self._add_limbs(chunk)
+            else:
+                self._add_buckets(chunk)
+
+    def _add_limbs(self, chunk) -> None:
+        x = chunk * 2.0**_HI_BITS
+        hi = np.floor(x)
+        x -= hi
+        x *= 2.0**_LO_BITS  # lo, exactly
+        limbs = (int(hi.astype(np.int64).sum()) << _LO_BITS) + int(x.astype(np.int64).sum())
+        # limbs count units of 2**-(_HI_BITS + _LO_BITS)
+        self._total += limbs << (53 - _EXP_MIN - _HI_BITS - _LO_BITS)
+
+    def _add_buckets(self, chunk) -> None:
+        if self._pending + chunk.size > _EXACT_ENTRIES:
+            self._flush()
+        mant, exp = np.frexp(chunk)
+        mant *= 2.0**26
+        high = np.trunc(mant)
+        mant -= high  # the low part
+        exp -= _EXP_MIN
+        self._high += np.bincount(exp, high, _EXP_BUCKETS)
+        self._low += np.bincount(exp, mant, _EXP_BUCKETS)
+        self._pending += chunk.size
 
     def _flush(self) -> None:
         # a value is (high + low) * 2**(k + 27) units, k its bucket
@@ -133,6 +166,19 @@ def _distances(theta, metric):
         theta *= 0.5
         np.sin(theta, out=theta)
     return theta
+
+
+def _distances_of_cos(c, metric):
+    """The chosen distance of cos theta; overwrites c.
+
+    The chordal distance sin(theta / 2) is sqrt((1 - cos theta) / 2), with
+    no trigonometric call.
+    """
+    if metric == "chordal":
+        np.subtract(1.0, c, out=c)
+        c *= 0.5
+        return np.sqrt(c, out=c)
+    return np.arccos(c, out=c)
 
 
 def _point_array(space, pts: PointSet) -> np.ndarray:
@@ -170,18 +216,26 @@ def _geodesic_matrix_of(space, pts):
 def _tiled_pair_sum(space, X, metric) -> float:
     """Pair sum of a stacked point array over the upper triangle, in tiles.
 
-    Each tile is one kernel call on a block of rows against a block of
-    columns at or right of it; diagonal tiles keep only the entries above
-    their diagonal.  Memory is O(tile^2 + N m).
+    The points are embedded once.  Each tile is the Gram product of a block
+    of embedded rows against a block of columns at or right of it, turned
+    into distances as in ``cos_geodesic_matrix``; diagonal tiles keep only
+    the entries above their diagonal.  Memory is O(tile^2 + N m).
+
+    The columns come from a transposed copy, so a diagonal tile is not an
+    array times its own transpose: BLAS computes that product (syrk) with
+    other roundings than the off-diagonal tiles, and relabelling the points
+    then changed the last bit of the sum (hp2, N = 73).
     """
     n = len(X)
+    E = _embedding(space, X)
+    cols = E.T.copy()
     acc = _ExactSum()
     upper = np.triu(np.ones((_PAIR_TILE, _PAIR_TILE), dtype=bool), 1)
     for i in range(0, n, _PAIR_TILE):
-        rows = X[i:i + _PAIR_TILE]
+        rows = E[i:i + _PAIR_TILE]
         for j in range(i, n, _PAIR_TILE):
-            vals = cos_geodesic_matrix(space, rows, X[j:j + _PAIR_TILE])
-            _distances(np.arccos(vals, out=vals), metric)
+            vals = _distances_of_cos(_cos_from_inner(space, rows @ cols[:, j:j + _PAIR_TILE]),
+                                     metric)
             if i == j:
                 vals *= upper[:len(rows), :len(rows)]
             acc.add(vals)
@@ -366,11 +420,12 @@ def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
     if workers < 1:
         raise DomainError("workers must be >= 1")
     n = len(pts)
+    E = _embedding(space, X)  # once, not per block
 
     def block_values(stream, count):
         centers = sample_uniform(space, count, stream).points
         r = np.arccos(1 - 2 * stream.random(count))
-        cosd = cos_geodesic_matrix(space, X, centers)  # (n, count)
+        cosd = _cos_from_inner(space, E @ _embedding(space, centers).T)  # (n, count)
         dev = np.count_nonzero(cosd > np.cos(r), axis=0) - n * ball_volume(space, r)
         return 2.0 * dev * dev
 

@@ -332,14 +332,18 @@ def _embedding(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
         # |x_i|^2 and x_i conj(x_j): right unit scalars x -> x u cancel
         diag = np.sum(X**2, axis=2)
         upper = algebra.cd_mul(X[:, i], algebra.cd_conj(X[:, j]))
-    return np.concatenate([diag, math.sqrt(2.0) * upper.reshape(len(X), -1)], axis=1)
+    upper = upper.reshape(len(X), math.prod(upper.shape[1:]))  # also for no rows
+    return np.concatenate([diag, math.sqrt(2.0) * upper], axis=1)
 
 
 def _cos_from_inner(space: SpaceSpec, g: np.ndarray) -> np.ndarray:
-    """cos(theta) = a <E(x), E(y)> + b, clipped to [-1, 1]; overwrites g."""
-    a, b = (1.0, 0.0) if space.family is Family.SPHERE else (2.0, -1.0)
-    g *= a
-    g += b
+    """cos(theta) = a <E(x), E(y)> + b, clipped to [-1, 1]; overwrites g.
+
+    (a, b) = (1, 0) on spheres and (2, -1) on projective spaces.
+    """
+    if space.family is not Family.SPHERE:
+        g *= 2.0
+        g -= 1.0
     return np.clip(g, -1.0, 1.0, out=g)
 
 

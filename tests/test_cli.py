@@ -124,6 +124,20 @@ class TestCli:
         assert outs[0] == outs[1]
         assert "threads" not in outs[0]
 
+    def test_output_independent_of_out_path(self, tmp_path):
+        pts = tmp_path / "pts.json"
+        main(["gen", "--space", "hp2", "--n", "20", "--seed", "2", "--no-meta",
+              "--out", str(pts)])
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            assert main(["energy", "--in", str(pts), "--no-meta", "--out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert "a.json" not in paths[0].read_text()
+        # with meta, the path is reported there
+        assert main(["energy", "--in", str(pts), "--out", str(paths[0])]) == 0
+        doc = json.loads(paths[0].read_text())
+        assert "out" not in doc["config"] and doc["meta"]["out"] == str(paths[0])
+
     def test_distance_matrix_input(self, tmp_path, capsys):
         dm = tmp_path / "dm.csv"
         theta = 2.0

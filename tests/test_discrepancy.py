@@ -23,6 +23,7 @@ from crosp.spaces import (
     PointSet,
     avg_chordal,
     chart_point_oct,
+    cos_geodesic_matrix,
     gamma_const,
     geodesic_matrix,
     parse_space,
@@ -96,6 +97,21 @@ class TestPairSum:
             monkeypatch.setattr(discrepancy, "_PAIR_TILE", tile)
             assert pair_sum(CP2, pts) == expected
 
+    def test_chunk_and_tile_size_invariant(self, monkeypatch):
+        # the total is the exactly rounded sum of the kernel's entries,
+        # whatever the tile and the accumulator chunk
+        rng = np.random.default_rng(23)
+        for space in (S2, HP2):
+            pts = sample_uniform(space, 700, rng)
+            cos = cos_geodesic_matrix(space, pts.points, pts.points)
+            for metric in ("chordal", "geodesic"):
+                vals = discrepancy._distances_of_cos(cos.copy(), metric)
+                expected = 2 * math.fsum(vals[np.triu_indices(700, 1)].tolist())
+                for tile, chunk in ((7, 97), (64, 4096), (333, 32_768), (700, 2**20)):
+                    monkeypatch.setattr(discrepancy, "_PAIR_TILE", tile)
+                    monkeypatch.setattr(discrepancy, "_SUM_CHUNK", chunk)
+                    assert pair_sum(space, pts, metric) == expected, (space, metric, tile)
+
     def test_unknown_metric(self):
         with pytest.raises(DomainError):
             pair_sum(S1, ANTIPODAL_S1, metric="taxicab")
@@ -152,18 +168,78 @@ class TestExactSum:
             "large": rng.random(2000) * 2.0**1000,
         }
 
+    @staticmethod
+    def limb_cases():
+        """Chunks inside the range of the integer limbs, {0} u [2**-30, 4)."""
+        rng = np.random.default_rng(21)
+        floor = 2.0**-30
+        # full 53-bit mantissas across the whole range
+        spread = 2.0 ** rng.uniform(-30, 2, 5000)
+        return {
+            "limb_zeros": np.zeros(40_000),
+            "limb_floor": np.concatenate([np.repeat([floor, np.nextafter(floor, 1)], 300),
+                                          np.zeros(7), spread]),
+            "limb_2m27": np.concatenate([np.full(999, 2.0**-27), np.full(70_001, 1 - 2**-53),
+                                         spread[:100]]),
+            "limb_ones": np.ones(70_001),
+            "limb_below_four": np.concatenate([np.full(3000, np.nextafter(4.0, 0)), spread]),
+            "limb_near_pi": np.concatenate([np.repeat([np.nextafter(math.pi, 0), math.pi,
+                                                       np.nextafter(math.pi, 4)], 500),
+                                            rng.uniform(3.1, 3.2, 3000)]),
+            "limb_spread": spread,
+            # 2**-29 + 2**-81 + 2**-82: half an ulp above, rounds to even
+            "limb_halfway": np.array([2.0**-30 + 2.0**-82, 2.0**-30 + 2.0**-81]),
+        }
+
+    @staticmethod
+    def fallback_cases():
+        """Chunks the limbs cannot hold: each mixes limb values with others."""
+        rng = np.random.default_rng(22)
+        spread = 2.0 ** rng.uniform(-30, 2, 3000)
+        floor = 2.0**-30
+        cases = {
+            "below_floor": [np.nextafter(floor, 0)],
+            "floor_over_four": [2.0**-32 + 2.0**-84],
+            "tiny": [1e-12 * (1 + 2**-52)],
+            "far_below_floor": [1e-300],
+            "subnormal": [5e-324, 7 * 5e-324],
+            "negative": [-0.75],
+            "negative_tiny": [-2.0**-40],
+            "four": [4.0],
+            "large": [2.0**60 + 2.0**8],
+        }
+        return {f"mixed_{k}": np.concatenate([spread, v, spread[:10]]) for k, v in cases.items()} \
+            | {f"alone_{k}": np.concatenate([np.zeros(3), v]) for k, v in cases.items()}
+
+    def all_cases(self):
+        return self.cases() | self.limb_cases() | self.fallback_cases()
+
     def test_matches_fsum(self):
-        for name, values in self.cases().items():
+        for name, values in self.all_cases().items():
             acc = discrepancy._ExactSum()
             acc.add(values)
             assert acc.value() == math.fsum(values.tolist()), name
+
+    def test_limb_path_taken(self, monkeypatch):
+        # the range cases never reach the exponent buckets, the mixed ones
+        # never the limbs
+        def refuse(self, chunk):
+            raise AssertionError("wrong path")
+        for path, cases in (("_add_buckets", self.limb_cases()),
+                            ("_add_limbs", self.fallback_cases())):
+            with monkeypatch.context() as mp:
+                mp.setattr(discrepancy._ExactSum, path, refuse)
+                for name, values in cases.items():
+                    acc = discrepancy._ExactSum()
+                    acc.add(values)
+                    assert acc.value() == math.fsum(values.tolist()), name
 
     def test_block_split_and_order_invariant(self, monkeypatch):
         rng = np.random.default_rng(20)
         # small chunks and an early flush exercise every path of the buckets
         monkeypatch.setattr(discrepancy, "_SUM_CHUNK", 97)
         monkeypatch.setattr(discrepancy, "_EXACT_ENTRIES", 500)
-        for name, values in self.cases().items():
+        for name, values in self.all_cases().items():
             expected = math.fsum(values.tolist())
             for _ in range(3):
                 cuts = np.sort(rng.integers(0, values.size + 1, rng.integers(0, 20)))

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -124,6 +125,38 @@ class TestChordalCoeff:
         coeff_hat = num / den  # Fourier-Jacobi coefficient of sqrt((1-t)/2)
         expected = -2 * coeff_hat * jacobi_at_one(l, a, b) / level_weight(space, l)
         assert chordal_coeff(space, l) == pytest.approx(expected, rel=1e-11)
+
+
+class TestLargeLevelOracle:
+    """m_l and c_l at large l against gamma products in mpmath at 40 digits.
+
+    The float routes difference lgamma terms of size l log l before the
+    exp; their worst relative error on these spaces is about 3e-11.
+    """
+
+    @staticmethod
+    def exact(space, l):
+        with mpmath.workdps(40):
+            d, d0, l = mpmath.mpf(space.d), mpmath.mpf(space.d0), mpmath.mpf(l)
+            half = mpmath.mpf(1) / 2
+            s = (d + d0) / 2
+            m_l = (2 * l - 1 + s) * mpmath.gammaprod([l + 1, l - 1 + s],
+                                                     [l + d / 2, l + d0 / 2])
+            c_l = mpmath.gammaprod([(d + 1) / 2, l + d0 / 2, l - half, d / 2 + l],
+                                   [l + (d + d0 + 1) / 2, half, l + 1, l + 1, d / 2])
+            return m_l, mpmath.log(c_l)
+
+    @pytest.mark.parametrize("code", ["s3", "hp2", "op2"])
+    @pytest.mark.parametrize("l", [2000, 5000, 10_000])
+    def test_against_mpmath(self, code, l):
+        space = parse_space(code)
+        m_l, log_c = self.exact(space, l)
+        ls = np.array([l])
+        assert float(harmonic._level_weight(space, ls)[0]) == pytest.approx(float(m_l),
+                                                                         rel=1e-10)
+        # an absolute error of log c_l is the relative error of c_l
+        assert float(harmonic._log_chordal_coeff(space, ls)[0]) == pytest.approx(
+            float(log_c), rel=0, abs=1e-10)
 
 
 class TestRadialWeight:
