@@ -37,8 +37,8 @@ def _resolve_seed(args) -> int:
 
 
 def _config_dict(args, seed) -> dict:
-    # --threads changes no result and --out only names where it goes, so
-    # both are reported under meta
+    # --threads changes nothing, and --out only names where the document
+    # goes, so it is reported under meta
     cfg = {k: v for k, v in sorted(vars(args).items())
            if k not in ("func", "threads", "out") and v is not None}
     cfg["seed"] = seed
@@ -47,8 +47,7 @@ def _config_dict(args, seed) -> dict:
 
 def _emit(args, doc: dict) -> None:
     if not args.no_meta:
-        doc["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-                       "threads": args.threads}
+        doc["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
         if args.out:
             doc["meta"]["out"] = args.out
     text = io.dumps_stable(doc)
@@ -111,7 +110,6 @@ def _cmd_energy(args):
     space = spaces.parse_space(args.space) if args.space else None
     space, payload = _load_input(args, space)
     value = disc.pair_sum(space, payload, metric=args.metric)
-    n = payload.shape[0] if isinstance(payload, np.ndarray) else len(payload)
     doc = {
         "config": _config_dict(args, _resolve_seed(args)),
         "quantity": "pair_sum",
@@ -119,7 +117,7 @@ def _cmd_energy(args):
         "value": value,
         "route": "direct",
         "space": space.code,
-        "n_points": n,
+        "n_points": len(payload),
     }
     _emit(args, doc)
     return EXIT_OK
@@ -129,7 +127,6 @@ def _cmd_discrepancy(args):
     space = spaces.parse_space(args.space) if args.space else None
     space, payload = _load_input(args, space)
     seed = _resolve_seed(args)
-    n = payload.shape[0] if isinstance(payload, np.ndarray) else len(payload)
     stderr = None
     if args.route == "closed":
         value = disc.discrepancy_closed(space, payload)
@@ -149,7 +146,7 @@ def _cmd_discrepancy(args):
         "value": value,
         "route": args.route,
         "space": space.code,
-        "n_points": n,
+        "n_points": len(payload),
     }
     if stderr is not None:
         doc["stderr"] = stderr
@@ -160,7 +157,7 @@ def _cmd_discrepancy(args):
 
 def _cmd_verify(args):
     seed = _resolve_seed(args)
-    kwargs = {"seed": seed, "workers": args.threads}
+    kwargs = {"seed": seed}
     if args.space:
         kwargs["space"] = spaces.parse_space(args.space)
     if args.tol is not None:
@@ -193,9 +190,8 @@ def _cmd_verify(args):
 
 _COMMON_DEFAULTS = {
     "seed": None,
-    "threads": os.cpu_count() or 1,
+    "threads": 1,
     "out": None,
-    "format": "json",
     "no_meta": False,
 }
 
@@ -206,12 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="RNG seed (falls back to CROSP_SEED, then 0)")
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker threads for Monte Carlo blocks; results do not "
-                             "depend on it")
+                        help="accepted for compatibility; has no effect (Monte Carlo "
+                             "blocks run on the calling thread)")
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write output to this path")
-    common.add_argument("--format", choices=("json", "csv"),
-                        default=argparse.SUPPRESS)
     common.add_argument("--no-meta", action="store_true", default=argparse.SUPPRESS,
                         help="omit timestamps so outputs are byte-reproducible")
 
@@ -260,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=_cmd_verify)
     return ap
 

@@ -9,11 +9,9 @@ independent cross-checks.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,16 +19,17 @@ import numpy as np
 from .errors import DomainError
 from .harmonic import avg_symdiff, symdiff_series
 from .spaces import (
-    Point,
     PointSet,
     RadiusMeasure,
     SpaceSpec,
+    _as_data,
     _cos_from_inner,
     _embedding,
     avg_chordal,
     ball_volume,
     cos_geodesic_matrix,
     gamma_const,
+    geodesic_matrix,
     sample_uniform,
 )
 
@@ -206,10 +205,7 @@ def _distance_matrix(dm) -> np.ndarray:
 def _geodesic_matrix_of(space, pts):
     """Pairwise geodesic matrix from a PointSet or a precomputed matrix."""
     if isinstance(pts, PointSet):
-        X = _point_array(space, pts)
-        if len(pts) == 0:
-            return np.zeros((0, 0))
-        return np.arccos(cos_geodesic_matrix(space, X, X))
+        return geodesic_matrix(space, _point_array(space, pts))
     return _distance_matrix(pts)
 
 
@@ -366,40 +362,20 @@ def _chan_merge(a, b):
     return n, ma + delta * nb / n, m2a + m2b + delta * delta * (na * nb / n)
 
 
-def _in_order(ex, fn, items, window):
-    """fn of each item on executor ex, yielded in item order, at most
-    ``window`` calls submitted and not yet yielded."""
-    pending = collections.deque()
-    for item in items:
-        pending.append(ex.submit(fn, item))
-        if len(pending) == window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
-def _mc_mean(block_values, samples: int, root, workers: int = 1):
+def _mc_mean(block_values, samples: int, root):
     """(mean, stderr) of ``samples`` values drawn in fixed-size blocks.
 
     Block k holds samples k*_MC_BLOCK onwards (the last one may be short)
     and draws them by ``block_values(stream, count)`` from its own stream
-    ``_block_rng(root, k)``.  Workers only schedule blocks; their moments
-    are merged in block order, so the result is bit-identical for every
-    worker count.  At most two blocks per worker are in flight, so memory
-    is O(block) whatever the sample count.
+    ``_block_rng(root, k)``.  Blocks run one after another on the calling
+    thread and their moments are merged in block order, so memory is
+    O(block) whatever the sample count.
     """
-    blocks = range(-(-samples // _MC_BLOCK))
-
     def run(k):
         count = min(_MC_BLOCK, samples - k * _MC_BLOCK)
         return _block_moments(block_values(_block_rng(root, k), count))
 
-    if workers == 1 or len(blocks) == 1:
-        total = functools.reduce(_chan_merge, map(run, blocks))
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as ex:
-            total = functools.reduce(_chan_merge, _in_order(ex, run, blocks, 2 * workers))
-    n, mean, m2 = total
+    n, mean, m2 = functools.reduce(_chan_merge, map(run, range(-(-samples // _MC_BLOCK))))
     return mean, math.sqrt(m2 / (n - 1) / n)
 
 
@@ -410,7 +386,9 @@ def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
     Centers are drawn uniformly and radii with density sin(r)/2 on [0, pi]
     (inverse CDF r = arccos(1 - 2u)); the factor 2 restores the canonical
     measure's total mass.  Ball membership uses the strict inequality
-    theta < r.  Deterministic for a fixed seed, whatever the worker count.
+    theta < r.  Deterministic for a fixed seed.  Blocks run on the calling
+    thread; BLAS uses the cores for each block's matrix product.
+    ``workers`` has no effect and is accepted, if >= 1, for compatibility.
     """
     if not isinstance(pts, PointSet):
         raise DomainError("the Monte Carlo route requires an explicit point set")
@@ -429,7 +407,7 @@ def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
         dev = np.count_nonzero(cosd > np.cos(r), axis=0) - n * ball_volume(space, r)
         return 2.0 * dev * dev
 
-    value, stderr = _mc_mean(block_values, int(samples), seed, int(workers))
+    value, stderr = _mc_mean(block_values, int(samples), seed)
     return McEstimate(value, stderr, int(samples), int(seed))
 
 
@@ -448,8 +426,8 @@ def symdiff_direct(space: SpaceSpec, x, y, measure: RadiusMeasure = None,
     if mc_samples < 2:
         raise DomainError("need at least 2 samples for a standard error")
     root = seed if rng is None else int(rng.integers(2**63))
-    xd = x.data if isinstance(x, Point) else Point(space, np.asarray(x, float)).data
-    yd = y.data if isinstance(y, Point) else Point(space, np.asarray(y, float)).data
+    xd = _as_data(space, x)
+    yd = _as_data(space, y)
     r_nodes, r_weights = measure.rule()
     const = float(np.dot(r_weights, ball_volume(space, r_nodes)))
     pair = np.stack([xd, yd])
@@ -484,6 +462,7 @@ def invariance_residual(space: SpaceSpec, pts, route: str = "closed",
     the series and Monte Carlo routes are genuine checks.  The Monte Carlo
     route returns an McEstimate whose stderr is scaled by gamma.  tau[D] is
     the tiled ``pair_sum``; only the series route forms the geodesic matrix.
+    ``workers`` is passed to ``discrepancy_mc``, where it has no effect.
     """
     gam = gamma_const(space)
     if route == "series":

@@ -18,7 +18,7 @@ from . import discrepancy as disc
 from . import harmonic, spaces
 from .errors import CrospError
 from .spaces import RadiusMeasure, SpaceSpec, catalog, make_space
-from .specfun import Hyp3F2Params, hyp3f2_unit, rising, watson_rhs
+from .specfun import Hyp3F2Params, beta, hyp3f2_unit, rising, watson_rhs
 
 __all__ = [
     "VerificationReport",
@@ -106,7 +106,7 @@ def verify_coeff_chain(space: SpaceSpec, l_max: int = 20,
     """
     d, d0 = space.d, space.d0
     gam = spaces.gamma_const(space)
-    inv_b = 1.0 / math.exp(math.lgamma(d / 2) + math.lgamma(d0 / 2) - math.lgamma((d + d0) / 2))
+    inv_b = 1.0 / beta(d / 2, d0 / 2)
     abs_errs, rel_errs, failures = [], [], []
     measure = RadiusMeasure.canonical()
     for l in range(1, l_max + 1):
@@ -302,7 +302,7 @@ def verify_constants(space: SpaceSpec, tol: float = 1e-9, with_mc: bool = True,
 
 def verify_invariance(space: SpaceSpec, n_points: int = 100,
                       samples: int = 200_000, seed: int = 0,
-                      tol_sigma: float = 3.0, workers: int = 1) -> VerificationReport:
+                      tol_sigma: float = 3.0) -> VerificationReport:
     """Monte Carlo discrepancy vs the closed form on a random point set."""
     failures = []
     abs_errs, rel_errs = [], []
@@ -310,7 +310,7 @@ def verify_invariance(space: SpaceSpec, n_points: int = 100,
     try:
         rng = np.random.default_rng(seed)
         pts = spaces.sample_uniform(space, n_points, rng)
-        est = disc.discrepancy_mc(space, pts, samples, seed=seed + 1, workers=workers)
+        est = disc.discrepancy_mc(space, pts, samples, seed=seed + 1)
         lam = disc.discrepancy_closed(space, pts)
         diff = abs(est.value - lam)
         abs_errs.append(diff)
@@ -328,7 +328,7 @@ def verify_invariance(space: SpaceSpec, n_points: int = 100,
     )
 
 
-def _all_suite(seed=0, workers=1, **_):
+def _all_suite(seed=0, **_):
     reports = []
     for space in catalog():
         reports.append(verify_pointwise(space))
@@ -340,8 +340,7 @@ def _all_suite(seed=0, workers=1, **_):
     for space in catalog():
         reports.append(verify_constants(space, seed=seed))
     for space in (make_space("s", 2), make_space("rp", 3)):
-        reports.append(verify_invariance(space, n_points=50, samples=100_000,
-                                         seed=seed, workers=workers))
+        reports.append(verify_invariance(space, n_points=50, samples=100_000, seed=seed))
     return reports
 
 
@@ -358,8 +357,8 @@ SUITES = {
     "constants": lambda space=None, seed=0, **kw: [
         verify_constants(s, seed=seed) for s in ([space] if space else catalog())
     ],
-    "invariance": lambda space=None, seed=0, samples=200_000, workers=1, **kw: [
-        verify_invariance(s, samples=samples, seed=seed, workers=workers)
+    "invariance": lambda space=None, seed=0, samples=200_000, **kw: [
+        verify_invariance(s, samples=samples, seed=seed)
         for s in ([space] if space else [make_space("s", 2)])
     ],
     "all": _all_suite,

@@ -186,6 +186,14 @@ class TestCli:
             main(["constants", "--space", "s2", "--bogus-flag"])
         assert exc.value.code == 2
 
+    def test_format_only_for_verify(self, tmp_path):
+        pts = tmp_path / "pts.json"
+        main(["gen", "--space", "s2", "--n", "5", "--seed", "2", "--no-meta",
+              "--out", str(pts)])
+        with pytest.raises(SystemExit) as exc:
+            main(["energy", "--in", str(pts), "--format", "csv", "--no-meta"])
+        assert exc.value.code == 2
+
     def test_verify_pass_exit_code(self, capsys):
         assert main(["verify", "watson", "--no-meta"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -229,7 +237,7 @@ commands = {
     "gen": ["gen", "--space", "cp2", "--n", "30", "--seed", "5", "--out", pts],
     "energy": ["energy", "--in", pts],
     "closed": ["discrepancy", "--in", pts, "--route", "closed"],
-    # the first scipy import happens inside a worker thread
+    # the first scipy import happens inside a Monte Carlo block
     "mc": ["discrepancy", "--in", pts, "--route", "mc", "--samples", "4000",
            "--threads", "2"],
     "constants": ["constants", "--space", "hp2"],

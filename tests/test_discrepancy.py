@@ -1,6 +1,7 @@
 """Pair sums, the three discrepancy routes, and invariance residuals."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -344,13 +345,31 @@ class TestMcRoute:
 
     @pytest.mark.parametrize("space", [S2, HP2], ids=["s2", "hp2"])
     def test_workers_bit_identical(self, space):
-        # ten blocks, the last one partial: more than two blocks per worker
-        # are scheduled, so the in-order window is exercised
+        # ten blocks, the last one partial; workers is accepted and changes
+        # no bit
         samples = 9 * discrepancy._MC_BLOCK + 123
         pts = sample_uniform(space, 10, np.random.default_rng(1))
         est = [discrepancy_mc(space, pts, samples, seed=7, workers=w) for w in (1, 2, 3)]
         assert est[0] == est[1] == est[2]
         assert est[0].samples == samples
+
+    def test_blocks_run_on_calling_thread(self, monkeypatch):
+        threads = []
+        moments = discrepancy._block_moments
+
+        def record(vals):
+            threads.append(threading.get_ident())
+            return moments(vals)
+
+        monkeypatch.setattr(discrepancy, "_block_moments", record)
+        pts = sample_uniform(S2, 10, np.random.default_rng(2))
+        discrepancy_mc(S2, pts, 3 * discrepancy._MC_BLOCK + 5, seed=3, workers=2)
+        assert threads == [threading.get_ident()] * 4
+
+    def test_workers_below_one_rejected(self):
+        pts = sample_uniform(S2, 10, np.random.default_rng(2))
+        with pytest.raises(DomainError):
+            discrepancy_mc(S2, pts, 1000, workers=0)
 
     def test_merge_matches_two_pass(self, monkeypatch):
         blocks = []

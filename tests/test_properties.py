@@ -1,4 +1,5 @@
-"""Property-based checks of the pair sum: labelling and isometry invariance."""
+"""Property-based checks: the pair sum under relabelling and isometries, and
+the series and Monte Carlo discrepancy routes under relabelling."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crosp import discrepancy
-from crosp.discrepancy import pair_sum
+from crosp.discrepancy import discrepancy_mc, discrepancy_series, pair_sum
 from crosp.spaces import PointSet, parse_space, sample_uniform
 
 S2 = parse_space("s2")
@@ -14,6 +15,8 @@ CP2 = parse_space("cp2")
 
 seeds = st.integers(0, 2**32 - 1)
 sizes = st.integers(2, 300)
+small_sizes = st.integers(2, 12)
+codes = st.sampled_from(["s2", "cp2", "hp2"])
 metrics = st.sampled_from(["chordal", "geodesic"])
 # one tile, several tiles, and tiles that split the point set unevenly
 tiles = st.sampled_from([7, 64, 512])
@@ -28,17 +31,21 @@ def _orthogonal(rng, n, dtype=float):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def _relabelled(code, n, seed):
+    """A uniform point set of n points and the same points in random order."""
+    space = parse_space(code)
+    rng = np.random.default_rng(seed)
+    pts = sample_uniform(space, n, rng)
+    return space, pts, PointSet(space, pts.points[rng.permutation(n)])
+
+
 @settings(max_examples=40, deadline=None)
-@given(seed=seeds, n=sizes, metric=metrics, tile=tiles,
-       code=st.sampled_from(["s2", "cp2", "hp2"]))
+@given(seed=seeds, n=sizes, metric=metrics, tile=tiles, code=codes)
 # a diagonal tile formed as an array times its own transpose (BLAS syrk)
 # changed the last bit of this sum
 @example(seed=201, n=73, metric="geodesic", tile=512, code="hp2")
 def test_pair_sum_bit_identical_under_permutation(seed, n, metric, tile, code):
-    space = parse_space(code)
-    rng = np.random.default_rng(seed)
-    pts = sample_uniform(space, n, rng)
-    shuffled = PointSet(space, pts.points[rng.permutation(n)])
+    space, pts, shuffled = _relabelled(code, n, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(discrepancy, "_PAIR_TILE", tile)
         assert pair_sum(space, shuffled, metric) == pair_sum(space, pts, metric)
@@ -66,3 +73,24 @@ def test_pair_sum_invariant_under_unitary_map_cp2(seed, n, metric):
     moved = PointSet(CP2, np.stack([w.real, w.imag], axis=-1))
     assert pair_sum(CP2, moved, metric) == pytest.approx(pair_sum(CP2, pts, metric),
                                                          rel=1e-12)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=seeds, n=small_sizes, code=codes)
+def test_discrepancy_mc_bit_identical_under_permutation(seed, n, code):
+    # centres and radii do not depend on the labels and a block's ball
+    # counts are integers, so a bit could move only if a Gram entry rounded
+    # by its position fell within that rounding of cos r
+    space, pts, shuffled = _relabelled(code, n, seed)
+    assert (discrepancy_mc(space, shuffled, 20_000, seed=seed)
+            == discrepancy_mc(space, pts, 20_000, seed=seed))
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=seeds, n=small_sizes, code=codes)
+def test_discrepancy_series_invariant_under_permutation(seed, n, code):
+    # not bit for bit: the series reads the dense geodesic matrix, whose
+    # entries BLAS may round by their position in the product
+    space, pts, shuffled = _relabelled(code, n, seed)
+    assert discrepancy_series(space, shuffled) == pytest.approx(
+        discrepancy_series(space, pts), rel=1e-12)
