@@ -2,7 +2,11 @@
 
 Elements of R, C, H, O are ndarrays whose last axis has length 1, 2, 4 or 8.
 A single doubling rule generates all products, so the quaternion and octonion
-multiplication tables share one source of truth.
+multiplication tables share one source of truth.  The rule is written once,
+on lists of component arrays (``mul_parts``): a caller that already holds its
+elements component by component, like the distance kernel's embedding, calls
+it directly, with no copies of the operands; ``cd_mul`` splits the last axis
+into that list and stacks the result.
 """
 
 from __future__ import annotations
@@ -31,24 +35,37 @@ def cd_conj(x):
     return out
 
 
-def cd_mul(x, y):
-    """Product of two elements (broadcasts over leading axes).
+def conj_parts(x):
+    """Conjugate of an element given as a list of components."""
+    return x[:1] + [-p for p in x[1:]]
 
-    Doubling rule: (a, b)(c, d) = (ac - conj(d) b, d a + b conj(c)).
+
+def mul_parts(x, y):
+    """Product of two elements given as equal-length lists of components.
+
+    Doubling rule: (a, b)(c, d) = (ac - conj(d) b, d a + b conj(c)).  The
+    components may be arrays of any broadcastable shapes; the result is a
+    list of fresh arrays.
     """
+    if len(x) == 1:
+        return [x[0] * y[0]]
+    h = len(x) // 2
+    a, b = x[:h], x[h:]
+    c, d = y[:h], y[h:]
+    real = [p - q for p, q in zip(mul_parts(a, c), mul_parts(conj_parts(d), b))]
+    imag = [p + q for p, q in zip(mul_parts(d, a), mul_parts(b, conj_parts(c)))]
+    return real + imag
+
+
+def cd_mul(x, y):
+    """Product of two elements (broadcasts over leading axes)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dim = x.shape[-1]
     if y.shape[-1] != dim:
         raise ValueError("operands must have the same algebra dimension")
-    if dim == 1:
-        return x * y
-    h = dim // 2
-    a, b = x[..., :h], x[..., h:]
-    c, d = y[..., :h], y[..., h:]
-    real = cd_mul(a, c) - cd_mul(cd_conj(d), b)
-    imag = cd_mul(d, a) + cd_mul(b, cd_conj(c))
-    return np.concatenate([real, imag], axis=-1)
+    parts = mul_parts([x[..., k] for k in range(dim)], [y[..., k] for k in range(dim)])
+    return np.stack(parts, axis=-1)
 
 
 @lru_cache(maxsize=None)

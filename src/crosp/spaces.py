@@ -328,12 +328,23 @@ def _embedding(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
     if space.family is Family.OCT_PROJ:
         diag = X[:, np.arange(n1), np.arange(n1), 0]
         upper = X[:, i, j]
-    else:
-        # |x_i|^2 and x_i conj(x_j): right unit scalars x -> x u cancel
-        diag = np.sum(X**2, axis=2)
-        upper = algebra.cd_mul(X[:, i], algebra.cd_conj(X[:, j]))
-    upper = upper.reshape(len(X), math.prod(upper.shape[1:]))  # also for no rows
-    return np.concatenate([diag, math.sqrt(2.0) * upper], axis=1)
+        upper = upper.reshape(len(X), math.prod(upper.shape[1:]))  # also for no rows
+        return np.concatenate([diag, math.sqrt(2.0) * upper], axis=1)
+    # |x_i|^2 and x_i conj(x_j): right unit scalars x -> x u cancel.  Each
+    # component of each coordinate is one contiguous (N,) array, and every
+    # entry is written straight into its column of E.
+    d0 = space.d0
+    comps = np.ascontiguousarray(np.moveaxis(X, 0, 2))  # (n1, d0, N)
+    E = np.empty((len(X), space.m))
+    for k, xk in enumerate(comps):
+        np.multiply(xk[0], xk[0], out=E[:, k])
+        for c in xk[1:]:
+            E[:, k] += c * c
+    for p, (a, b) in enumerate(zip(i, j)):
+        prod = algebra.mul_parts(list(comps[a]), algebra.conj_parts(list(comps[b])))
+        for c, part in enumerate(prod):
+            np.multiply(part, math.sqrt(2.0), out=E[:, n1 + p * d0 + c])
+    return E
 
 
 def _cos_from_inner(space: SpaceSpec, g: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ Gamma/beta machinery, Pochhammer symbols, Jacobi polynomials, Gauss-Jacobi
 rules, and generalized hypergeometric series at unit argument together with
 Watson's closed form.  Everything here is pure and re-entrant.
 
-scipy is imported inside the two functions that need it (``reg_inc_beta``
-and ``gauss_jacobi``), so a process that never calls them never loads it.
+scipy is imported inside the two functions that need it, so a process that
+never calls them never loads it: ``gauss_jacobi``, and ``reg_inc_beta`` for a
+b that is not a small integer (its finite sum needs no scipy).
 """
 
 from __future__ import annotations
@@ -89,19 +90,41 @@ def beta(a, b):
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
+# The finite sum of reg_inc_beta is used for integer b up to this value.  Its
+# worst relative error, against mpmath, grows with b: 5.2e-16 at b = 8 and
+# 1.2e-15 at b = 12 (tests/test_specfun.py holds b <= 8 to 1e-15).
+_FINITE_SUM_MAX_B = 8
+
+
 def reg_inc_beta(x, a, b):
-    """Regularized incomplete beta I_x(a, b) on [0, 1]."""
+    """Regularized incomplete beta I_x(a, b) on [0, 1].
+
+    For an integer b <= _FINITE_SUM_MAX_B (the ball volumes of cp, hp, op
+    and the even spheres up to s16) this is the finite sum
+    I_x(a, b) = x^a sum_{j<b} (a)_j / j! (1 - x)^j of positive terms, by
+    Horner's rule in 1 - x.  Any other b calls scipy's ``betainc``.
+    """
     if not (a > 0 and b > 0):
         raise DomainError(f"reg_inc_beta requires positive a, b, got ({a}, {b})")
-    from scipy.special import betainc
-
     if isinstance(x, np.ndarray):
         if not np.all((x >= 0) & (x <= 1)):
             raise DomainError("reg_inc_beta requires x in [0, 1]")
-        return betainc(a, b, x)
-    if not 0 <= x <= 1:
+    elif not 0 <= x <= 1:
         raise DomainError(f"reg_inc_beta requires x in [0, 1], got {x}")
-    return float(betainc(a, b, x))
+    if b <= _FINITE_SUM_MAX_B and b == int(b):
+        coeffs = [1.0]
+        for j in range(1, int(b)):
+            coeffs.append(coeffs[-1] * (a + j - 1) / j)
+        y = 1.0 - np.asarray(x, dtype=float)
+        total = coeffs.pop()
+        for c in reversed(coeffs):
+            total = total * y + c
+        out = np.power(x, float(a)) * total
+    else:
+        from scipy.special import betainc
+
+        out = betainc(a, b, x)
+    return out if isinstance(x, np.ndarray) else float(out)
 
 
 def rising(a, k):

@@ -232,15 +232,29 @@ from crosp.cli import main
 
 tmp = sys.argv[1]
 pts, out = tmp + "/pts.json", tmp + "/out.json"
+
+
+def mc(space):
+    path = f"{tmp}/{space}.json"
+    return {f"gen-{space}": ["gen", "--space", space, "--n", "20", "--seed", "5",
+                             "--out", path],
+            f"mc-{space}": ["discrepancy", "--in", path, "--route", "mc",
+                            "--samples", "4000"]}
+
+
 commands = {
     "spaces": ["spaces"],
     "gen": ["gen", "--space", "cp2", "--n", "30", "--seed", "5", "--out", pts],
     "energy": ["energy", "--in", pts],
     "closed": ["discrepancy", "--in", pts, "--route", "closed"],
-    # the first scipy import happens inside a Monte Carlo block
+    # ball volumes with an integer b = d0/2 are a finite sum, with no scipy
     "mc": ["discrepancy", "--in", pts, "--route", "mc", "--samples", "4000",
            "--threads", "2"],
+    **mc("hp2"),
+    **mc("s2"),
     "constants": ["constants", "--space", "hp2"],
+    # the first scipy import: rp2 has b = 1/2, so its ball volumes call betainc
+    **mc("rp2"),
     "series": ["discrepancy", "--in", pts, "--route", "series", "--tol", "1e-6"],
 }
 report = {}
@@ -275,6 +289,8 @@ class TestStartup:
         report = json.loads(self._python("-c", _STARTUP_SCRIPT, str(tmp_path)))
         assert report == {
             "spaces": [0, False], "gen": [0, False], "energy": [0, False],
-            "closed": [0, False], "mc": [0, True], "constants": [0, True],
-            "series": [0, True],
+            "closed": [0, False], "mc": [0, False],
+            "gen-hp2": [0, False], "mc-hp2": [0, False],
+            "gen-s2": [0, False], "mc-s2": [0, False], "constants": [0, False],
+            "gen-rp2": [0, False], "mc-rp2": [0, True], "series": [0, True],
         }

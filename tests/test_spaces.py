@@ -1,12 +1,14 @@
 """Catalog geometry: metrics, embeddings, volumes, constants, sampling."""
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
 
-from crosp import algebra, harmonic
+from crosp import algebra, harmonic, spaces
 from crosp.errors import DomainError, UnsupportedSpaceError
 from crosp.spaces import (
     Family,
@@ -206,6 +208,70 @@ class TestEmbed:
         assert np.max(np.abs(tau - d_embed)[off]) <= 1e-10
 
 
+def _doubling_mul(x, y):
+    """The Cayley-Dickson doubling rule, recursive on the last axis."""
+    dim = x.shape[-1]
+    if dim == 1:
+        return x * y
+    h = dim // 2
+    a, b, c, d = x[..., :h], x[..., h:], y[..., :h], y[..., h:]
+    real = _doubling_mul(a, c) - _doubling_mul(_doubling_conj(d), b)
+    imag = _doubling_mul(d, a) + _doubling_mul(b, _doubling_conj(c))
+    return np.concatenate([real, imag], axis=-1)
+
+
+def _doubling_conj(x):
+    out = np.array(x, dtype=float, copy=True)
+    out[..., 1:] *= -1.0
+    return out
+
+
+def _reference_embedding(X):
+    """The rp/cp/hp embedding as one array formula: the diagonal |x_i|^2,
+    then sqrt(2) x_i conj(x_j) for i < j."""
+    i, j = np.triu_indices(X.shape[1], 1)
+    upper = _doubling_mul(X[:, i], _doubling_conj(X[:, j]))
+    upper = upper.reshape(len(X), math.prod(upper.shape[1:]))
+    return np.concatenate([np.sum(X**2, axis=2), math.sqrt(2.0) * upper], axis=1)
+
+
+class TestEmbeddingBits:
+    """The component-major embedding has the bits of the array formula."""
+
+    @pytest.mark.parametrize("family", ["rp", "cp", "hp"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bit_identical(self, family, n):
+        space = make_space(family, n)
+        for count in (0, 1, 7, 4097):
+            X = sample_uniform(space, count, np.random.default_rng(count + n)).points
+            E, ref = spaces._embedding(space, X), _reference_embedding(X)
+            assert E.shape == ref.shape == (count, space.m)
+            assert E.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8])
+    def test_cd_mul_is_doubling_rule(self, dim):
+        rng = np.random.default_rng(dim)
+        for xs, ys in [((dim,), (dim,)), ((5, dim), (5, dim)),
+                       ((3, 1, dim), (1, 4, dim)), ((2, 3, dim), (dim,))]:
+            x, y = rng.standard_normal(xs), rng.standard_normal(ys)
+            got, ref = algebra.cd_mul(x, y), _doubling_mul(x, y)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_peak_memory(self):
+        # the array formula peaked at about 9 MB on these points (its
+        # temporaries); the component-major form at about 6.9 MB
+        hp2 = parse_space("hp2")
+        X = sample_uniform(hp2, 20_000, np.random.default_rng(0)).points
+        tracemalloc.start()
+        try:
+            spaces._embedding(hp2, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.7e6
+
+
 class TestBallVolume:
     def test_full_ball(self):
         for s in catalog():
@@ -230,6 +296,31 @@ class TestBallVolume:
         rs = np.linspace(0, math.pi, 1000)
         vs = ball_volume(space, rs)
         assert np.all(np.diff(vs) >= -1e-15)
+
+    @pytest.mark.parametrize("code", ALL_CODES + ["s4", "s6", "s16"])
+    def test_against_mpmath(self, code):
+        """ball_volume(r) against I_{sin^2(r/2)}(d/2, d0/2) in mpmath at 40 digits.
+
+        The bound is the error of reg_inc_beta (1e-15 on the finite sum, 2e-15
+        on betainc) plus that of the float sin^2(r/2), at most 5 ulp
+        relative, carried through x I'(x).
+        """
+        space = parse_space(code)
+        a, b = space.d / 2, space.d0 / 2
+        rs = [0.0, 1e-8, 1e-4, 0.01, math.pi / 2, math.pi - 1e-4, math.pi - 1e-8,
+              math.pi] + [float(r) for r in np.linspace(0, math.pi, 65)[1:-1]]
+        vals = ball_volume(space, np.array(rs))
+        for r, v in zip(rs, vals):
+            assert ball_volume(space, r) == v
+            with mpmath.workdps(40):
+                x = mpmath.sin(mpmath.mpf(r) / 2) ** 2
+                exact = mpmath.betainc(a, b, 0, x, regularized=True)
+                slope = 0 if x in (0, 1) else (x ** a * (1 - x) ** (b - 1)
+                                               / mpmath.beta(a, b))
+                err = float(abs(mpmath.mpf(v) - exact))
+                bound = float((1e-15 if b == int(b) else 2e-15) * exact
+                              + slope * 5 * 2.0**-52) + 2.0**-1074
+            assert err <= bound, (code, r)
 
     def test_domain(self):
         with pytest.raises(DomainError):
