@@ -4,7 +4,7 @@ The chordal and symmetric-difference metrics expand in the zonal functions
 phi_l -- normalized Jacobi polynomials of cos(theta) -- with positive
 coefficients decaying like 1/l^2.  Each ingredient is coded once:
 
-* the Jacobi three-term recurrence (``specfun.jacobi_rows``);
+* the Jacobi three-term recurrence (``specfun._JacobiRecurrence``);
 * one vectorized log-formula each for the level weights m_l, the chordal
   coefficients c_l and the canonical radial weights a_l, shared by the
   scalar functions and the cached table ``expansion_coeffs``;
@@ -19,7 +19,14 @@ relaxed check at the hard cap of 10^4 terms.  For the canonical measure the
 tail is exact (a telescoped antidifference), so the first path is a
 certificate; for point-mass measures it is an extrapolated 1/l^2 estimate.
 A chunk of angles keeps only the last partial sums that a window can read,
-in a ring sized from a fixed entry budget.
+in a ring sized from a fixed entry budget.  The degrees between two
+checkpoints go through in blocks of ``specfun._JACOBI_BLOCK``: the recurrence
+yields a block of rows, scaled by 1/P_l(1) and t_l in two array operations
+and added to the ring one row per degree.  At each checkpoint the accepted
+angles are dropped from the recurrence, the ring and every per-angle array,
+so they cost nothing after it.  Each kept angle sees the same operations in
+the same order either way, so every value is bit-identical to the angle
+summed alone.
 
 The coefficient formulas import ``scipy.special.gammaln`` on first call.
 
@@ -40,8 +47,8 @@ import numpy as np
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .spaces import RadiusMeasure, SpaceSpec, ball_volume, gamma_const
-from .specfun import (beta, check_order, gauss_jacobi, jacobi_at_one, jacobi_eval,
-                      jacobi_rows, rising, falling)
+from .specfun import (_JacobiRecurrence, _jacobi_row, beta, check_order, gauss_jacobi,
+                      jacobi_at_one, jacobi_eval, jacobi_rows, rising, falling)
 
 __all__ = [
     "ExpansionCoeffs",
@@ -62,7 +69,7 @@ __all__ = [
 ]
 
 SERIES_CAP = 10_000
-_CHECKPOINTS = frozenset((156, 312, 625, 1250, 2500, 5000, SERIES_CAP))
+_CHECKPOINTS = (156, 312, 625, 1250, 2500, 5000, SERIES_CAP)
 # entries of the ring of partial sums one series chunk holds (4 MB of
 # float64), and the most angles one chunk takes
 _SERIES_RING_ENTRIES = 2**19
@@ -286,53 +293,65 @@ def _series_chunks(th):
 
 def _series_chunk(th, t_l, H, tail_fn, tols, a, b):
     cap = SERIES_CAP
-    n = th.size
     winfull = _full_windows(th)
     osc_floor = 6.0 * 2 * math.pi / th
-    # ring[l % R] = sum_{k <= l} t_k phi_k(theta), one column per angle: the
-    # last R degrees are all that any window reads
+    # ring[l % R] = sum_{k <= l} t_k phi_k(theta), one column per open angle:
+    # the last R degrees are all that any window reads
     R = _ring_rows(winfull)
-    ring = np.empty((R, n))
+    ring = np.empty((R, th.size))
     ring[0] = 0.0
-    is_open = np.ones(n, dtype=bool)
-    vals = np.empty(n)
-    consec = np.zeros(n, dtype=int)
+    cols = np.arange(th.size)  # position in the chunk of each open column
+    vals = np.empty(th.size)
+    consec = np.zeros(th.size, dtype=int)
     # NaN compares false, so no refinement counts as stable at the first checkpoint
-    prev_vhat = np.full(n, np.nan)
-    rows = jacobi_rows(a, b, np.cos(th))
-    next(rows)  # phi_0 = 1 drops out of 1 - phi_l
+    prev_vhat = np.full(th.size, np.nan)
+    rec = _JacobiRecurrence(a, b, np.cos(th))
     pone = 1.0  # P_l(1)
-    for l, p in zip(range(1, cap + 1), rows):
-        pone = pone * (a + l) / l
-        ring[l % R] = ring[(l - 1) % R] + t_l[l - 1] * (p / pone)
-        if l not in _CHECKPOINTS:
-            continue
-        j = np.flatnonzero(is_open)
-        tol = tols[j]
-        W = np.maximum(np.minimum(winfull[j], l // 2), 1)
-        vhat = H[l - 1] + tail_fn(l) - _window_means(ring, l, j, W)
-        step = np.abs(vhat - prev_vhat[j])
-        stable = (step < tol / 4) & (l >= 625) & (l >= osc_floor[j])
-        consec[j] = np.where(stable, consec[j] + 1, 0)
-        accept = (tail_fn(np.maximum(1, l - W)) < tol) | (stable & (consec[j] >= 2))
+    l = 0  # the last degree in the ring
+    for checkpoint in _CHECKPOINTS:
+        while l < checkpoint:
+            # phi_0 = 1 drops out of 1 - phi_l, so the sum starts at degree 1,
+            # where the recurrence starts
+            rows = rec.advance(checkpoint) if l else rec.p_cur[None].copy()
+            lo, l = l + 1, l + len(rows)
+            pones = []
+            for m in range(lo, l + 1):
+                pone = pone * (a + m) / m
+                pones.append(pone)
+            rows /= np.array(pones)[:, None]
+            rows *= t_l[lo - 1:l, None]
+            for m, row in enumerate(rows, lo):
+                np.add(ring[(m - 1) % R], row, out=ring[m % R])
+        W = np.maximum(np.minimum(winfull, l // 2), 1)
+        vhat = H[l - 1] + tail_fn(l) - _window_means(ring, l, W)
+        step = np.abs(vhat - prev_vhat)
+        stable = (step < tols / 4) & (l >= 625) & (l >= osc_floor)
+        consec = np.where(stable, consec + 1, 0)
+        accept = (tail_fn(np.maximum(1, l - W)) < tols) | (stable & (consec >= 2))
         if l == cap:
-            accept |= step / 4 < tol / 2
+            accept |= step / 4 < tols / 2
             if not accept.all():
                 k = np.flatnonzero(~accept)[0]
                 raise ConvergenceError(
-                    f"series did not certify tolerance {tol[k]:g} at theta="
-                    f"{th[j[k]]:.6g} within {cap} terms"
+                    f"series did not certify tolerance {tols[k]:g} at theta="
+                    f"{th[k]:.6g} within {cap} terms"
                 )
-        vals[j[accept]] = vhat[accept]
-        is_open[j[accept]] = False
-        prev_vhat[j] = vhat
-        if not is_open.any():
+        vals[cols[accept]] = vhat[accept]
+        keep = np.flatnonzero(~accept)
+        if not keep.size:
             break
+        # accepted angles cost nothing from here on: the recurrence, the ring
+        # and every per-angle array keep the open columns only
+        rec.compact(keep)
+        ring = ring[:, keep]
+        th, winfull, osc_floor, tols, cols = (th[keep], winfull[keep], osc_floor[keep],
+                                              tols[keep], cols[keep])
+        consec, prev_vhat = consec[keep], vhat[keep]
     return vals
 
 
-def _window_means(ring, l, cols, W):
-    """Mean of the partial sums of degrees l - W_k + 1 .. l in column cols[k].
+def _window_means(ring, l, W):
+    """Mean of the partial sums of degrees l - W_k + 1 .. l in column k.
 
     The partial sum of degree i is row i % len(ring) of ``ring``.  Each
     window is reduced as its own contiguous segment, in degree order, so its
@@ -341,9 +360,10 @@ def _window_means(ring, l, cols, W):
     """
     width = int(W.max())
     degrees = np.arange(l - width + 1, l + 1) % len(ring)
-    block = ring[degrees[None, :], cols[:, None]]  # one row per column, windows right-aligned
-    ends = np.arange(1, cols.size + 1) * width
-    bounds = np.empty(2 * cols.size - 1, dtype=np.intp)
+    # one row per column, windows right-aligned
+    block = ring[degrees[None, :], np.arange(W.size)[:, None]]
+    ends = np.arange(1, W.size + 1) * width
+    bounds = np.empty(2 * W.size - 1, dtype=np.intp)
     bounds[0::2] = ends - W
     bounds[1::2] = ends[:-1]
     return np.add.reduceat(block.ravel(), bounds)[0::2] / W
@@ -482,6 +502,6 @@ def jacobi_sq_integral(n: int, alpha, beta_, route: str = "closed") -> float:
                 "quadrature route requires alpha, beta > -1/2 for an integrable weight"
             )
         rule = gauss_jacobi(n + 2, 2 * alpha, 2 * beta_)
-        p = next(itertools.islice(jacobi_rows(alpha, beta_, rule.nodes), n, None))
+        p = _jacobi_row(n, alpha, beta_, rule.nodes)
         return float(np.dot(rule.weights, p**2))
     raise DomainError(f"unknown route {route!r}")

@@ -11,7 +11,6 @@ b that is not a small integer (its finite sum needs no scipy).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -145,25 +144,105 @@ def falling(a, k):
     return out
 
 
+# degrees one _JacobiRecurrence.advance computes at most
+_JACOBI_BLOCK = 64
+
+
+class _JacobiRecurrence:
+    """P_n^{(alpha, beta)}(t) for an array t, a block of degrees at a time.
+
+    The one three-term recurrence in crosp.  The state is the last two rows,
+    ``p_prev`` = P_{degree-1} and ``p_cur`` = P_degree, one entry per element of
+    ``t`` (an array of at least one dimension); it starts at degree 1.
+    ``compact`` keeps only some elements of t: each kept element then sees
+    exactly the operations it would have seen in a recurrence over the kept
+    elements alone, so its rows keep their bits.  The caller checks the domain.
+    """
+
+    def __init__(self, alpha, beta_, t):
+        self.alpha, self.beta = alpha, beta_
+        self.t = np.asarray(t, dtype=float)
+        self.degree = 1
+        self.p_prev = np.ones_like(self.t)
+        self.p_cur = (alpha + 1) + (alpha + beta_ + 2) * (self.t - 1) / 2
+
+    def advance(self, limit=None):
+        """Rows P_{degree+1} .. P_stop, one per degree, stacked along a new axis 0.
+
+        stop is degree + _JACOBI_BLOCK, or ``limit`` if that comes first; a
+        limit at or below the current degree is an error.  The factor
+        c2 (c3 t + c4) of every degree is formed at once; each degree then
+        multiplies it in place by P_{m-1}, subtracts c5 P_{m-2} and divides by
+        c1, the operations of the scalar recurrence in its order.  The
+        coefficients are float64 vectors formed in the order of the scalar
+        formulas (for integer alpha and beta they are exact while they stay
+        below 2^53, up to degree ~10^5).  The returned rows belong to the
+        caller.
+        """
+        lo = self.degree + 1
+        hi = lo + _JACOBI_BLOCK - 1
+        if limit is not None:
+            if limit < lo:
+                raise ValueError(f"advance: limit {limit} is not above degree {self.degree}")
+            hi = min(hi, limit)
+        alpha, beta_ = self.alpha, self.beta
+        ab = alpha + beta_
+        m = np.arange(lo, hi + 1, dtype=float)
+        u = 2 * m + ab
+        v = u - 2
+        c1 = (2 * m * (m + ab) * v).tolist()
+        c2 = u - 1
+        c3 = u * v
+        c4 = alpha * alpha - beta_ * beta_
+        c5 = (2 * (m + alpha - 1) * (m + beta_ - 1) * u).tolist()
+        rows = np.multiply.outer(c3, self.t)
+        rows += c4
+        rows *= c2.reshape((-1,) + (1,) * self.t.ndim)
+        # each row is a view, stepped in place
+        p_prev, p_cur = self.p_prev, self.p_cur
+        for row, c5m, c1m in zip(rows, c5, c1):
+            row *= p_cur
+            row -= c5m * p_prev
+            row /= c1m
+            p_prev, p_cur = p_cur, row
+        self.degree = hi
+        self.p_prev, self.p_cur = p_prev.copy(), p_cur.copy()
+        return rows
+
+    def compact(self, keep):
+        """Keep the elements ``keep`` (an index along axis 0 of t) and drop the rest."""
+        self.t = self.t[keep]
+        self.p_prev = self.p_prev[keep]
+        self.p_cur = self.p_cur[keep]
+
+
+def _jacobi_row(n, alpha, beta_, t):
+    """P_n^{(alpha, beta)}(t) for an array t, by ``_JacobiRecurrence``."""
+    rec = _JacobiRecurrence(alpha, beta_, t)
+    if n == 0:
+        return rec.p_prev
+    while rec.degree < n:
+        rec.advance(n)
+    return rec.p_cur
+
+
 def jacobi_rows(alpha, beta_, t):
     """Yield P_0, P_1, P_2, ... of P_n^{(alpha, beta)}(t) without end.
 
-    The one three-term recurrence in crosp.  ``t`` may be a float or an
-    array (evaluated elementwise); the caller checks the domain.
+    Built on ``_JacobiRecurrence``, a block of degrees at a time.  ``t`` may
+    be a float (the rows are then floats) or an array (evaluated
+    elementwise); the caller checks the domain.
     """
-    p_prev = np.ones_like(t, dtype=float) if np.ndim(t) else 1.0
-    yield p_prev
-    p_cur = (alpha + 1) + (alpha + beta_ + 2) * (t - 1) / 2
-    yield p_cur
-    ab = alpha + beta_
-    c4 = alpha * alpha - beta_ * beta_
-    for m in itertools.count(2):
-        c1 = 2 * m * (m + ab) * (2 * m + ab - 2)
-        c2 = 2 * m + ab - 1
-        c3 = (2 * m + ab) * (2 * m + ab - 2)
-        c5 = 2 * (m + alpha - 1) * (m + beta_ - 1) * (2 * m + ab)
-        p_prev, p_cur = p_cur, (c2 * (c3 * t + c4) * p_cur - c5 * p_prev) / c1
-        yield p_cur
+    if not np.ndim(t):
+        # a float is stepped as a one-element array, which rounds the same way
+        for row in jacobi_rows(alpha, beta_, np.array([t], dtype=float)):
+            yield float(row[0])
+        return
+    rec = _JacobiRecurrence(alpha, beta_, t)
+    yield rec.p_prev
+    yield rec.p_cur
+    while True:
+        yield from rec.advance()
 
 
 def jacobi_eval(n, alpha, beta_, t):
@@ -176,7 +255,7 @@ def jacobi_eval(n, alpha, beta_, t):
         raise DomainError(f"jacobi_eval requires alpha, beta > -1, got ({alpha}, {beta_})")
     if not -1 <= t <= 1:
         raise DomainError(f"jacobi_eval requires t in [-1, 1], got {t}")
-    return next(itertools.islice(jacobi_rows(alpha, beta_, t), n, None))
+    return float(_jacobi_row(n, alpha, beta_, np.array([t], dtype=float))[0])
 
 
 def jacobi_at_one(n, alpha, beta_=None):

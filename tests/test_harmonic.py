@@ -1,5 +1,6 @@
 """Zonal expansions, coefficient identities, closed forms, series engines."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -26,7 +27,8 @@ from crosp.harmonic import (
     zonal_phi,
 )
 from crosp.spaces import RadiusMeasure, avg_chordal, gamma_const, parse_space
-from crosp.specfun import beta, gauss_jacobi, jacobi_at_one, jacobi_eval, rising
+from crosp.specfun import (beta, gauss_jacobi, jacobi_at_one, jacobi_eval, jacobi_rows,
+                           rising)
 
 ALL_CODES = ["s1", "s2", "s3", "rp2", "cp2", "hp2", "op2"]
 CANON = RadiusMeasure.canonical()
@@ -364,6 +366,154 @@ class TestSeries:
             symdiff_series(parse_space("s2"), 1.0, tol=math.nan)
         with pytest.raises(DomainError):
             chordal_series(parse_space("s2"), math.nan)
+
+
+# ---------------------------------------------------------------------------
+# the series engine against a copy of its earlier per-degree loop
+#
+# Before the recurrence advanced in blocks and accepted angles were dropped at
+# each checkpoint, every degree was one step of the generator below and one
+# update of every column of the ring.  The copy stays here as the reference:
+# the block engine must reproduce it bit for bit, because each kept angle sees
+# the same operations in the same order.  Values are compared against the
+# copy run on this machine, not against stored hashes, since numpy's cos may
+# round differently by one ulp on another CPU.
+
+
+def _reference_jacobi_rows(alpha, beta_, t):
+    p_prev = np.ones_like(t, dtype=float) if np.ndim(t) else 1.0
+    yield p_prev
+    p_cur = (alpha + 1) + (alpha + beta_ + 2) * (t - 1) / 2
+    yield p_cur
+    ab = alpha + beta_
+    c4 = alpha * alpha - beta_ * beta_
+    for m in itertools.count(2):
+        c1 = 2 * m * (m + ab) * (2 * m + ab - 2)
+        c2 = 2 * m + ab - 1
+        c3 = (2 * m + ab) * (2 * m + ab - 2)
+        c5 = 2 * (m + alpha - 1) * (m + beta_ - 1) * (2 * m + ab)
+        p_prev, p_cur = p_cur, (c2 * (c3 * t + c4) * p_cur - c5 * p_prev) / c1
+        yield p_cur
+
+
+def _reference_series_chunk(th, t_l, H, tail_fn, tols, a, b):
+    cap = SERIES_CAP
+    n = th.size
+    winfull = harmonic._full_windows(th)
+    osc_floor = 6.0 * 2 * math.pi / th
+    R = harmonic._ring_rows(winfull)
+    ring = np.empty((R, n))
+    ring[0] = 0.0
+    is_open = np.ones(n, dtype=bool)
+    vals = np.empty(n)
+    consec = np.zeros(n, dtype=int)
+    prev_vhat = np.full(n, np.nan)
+    rows = _reference_jacobi_rows(a, b, np.cos(th))
+    next(rows)
+    pone = 1.0
+    for l, p in zip(range(1, cap + 1), rows):
+        pone = pone * (a + l) / l
+        ring[l % R] = ring[(l - 1) % R] + t_l[l - 1] * (p / pone)
+        if l not in harmonic._CHECKPOINTS:
+            continue
+        j = np.flatnonzero(is_open)
+        tol = tols[j]
+        W = np.maximum(np.minimum(winfull[j], l // 2), 1)
+        vhat = H[l - 1] + tail_fn(l) - _reference_window_means(ring, l, j, W)
+        step = np.abs(vhat - prev_vhat[j])
+        stable = (step < tol / 4) & (l >= 625) & (l >= osc_floor[j])
+        consec[j] = np.where(stable, consec[j] + 1, 0)
+        accept = (tail_fn(np.maximum(1, l - W)) < tol) | (stable & (consec[j] >= 2))
+        if l == cap:
+            accept |= step / 4 < tol / 2
+            if not accept.all():
+                k = np.flatnonzero(~accept)[0]
+                raise ConvergenceError(
+                    f"series did not certify tolerance {tol[k]:g} at theta="
+                    f"{th[j[k]]:.6g} within {cap} terms"
+                )
+        vals[j[accept]] = vhat[accept]
+        is_open[j[accept]] = False
+        prev_vhat[j] = vhat
+        if not is_open.any():
+            break
+    return vals
+
+
+def _reference_window_means(ring, l, cols, W):
+    width = int(W.max())
+    degrees = np.arange(l - width + 1, l + 1) % len(ring)
+    block = ring[degrees[None, :], cols[:, None]]
+    ends = np.arange(1, cols.size + 1) * width
+    bounds = np.empty(2 * cols.size - 1, dtype=np.intp)
+    bounds[0::2] = ends - W
+    bounds[1::2] = ends[:-1]
+    return np.add.reduceat(block.ravel(), bounds)[0::2] / W
+
+
+def _with_reference_loop(monkeypatch, series, *args, **kwargs):
+    """(engine value, reference value) of one series call."""
+    value = series(*args, **kwargs)
+    with monkeypatch.context() as mp:
+        mp.setattr(harmonic, "_series_chunk", _reference_series_chunk)
+        return value, series(*args, **kwargs)
+
+
+GRID = np.linspace(0, math.pi, 181)
+
+
+class TestSeriesMatchesPerDegreeLoop:
+    @pytest.mark.parametrize("code", ALL_CODES)
+    def test_symdiff_grid_canonical(self, monkeypatch, code):
+        space = parse_space(code)
+        value, reference = _with_reference_loop(
+            monkeypatch, symdiff_series, space, GRID, tol=1e-8 / gamma_const(space))
+        assert np.array_equal(value, reference)
+
+    @pytest.mark.parametrize("code", ALL_CODES)
+    def test_symdiff_grid_point_masses(self, monkeypatch, code):
+        value, reference = _with_reference_loop(
+            monkeypatch, symdiff_series, parse_space(code), GRID, POINT_MASSES, 1e-6)
+        assert np.array_equal(value, reference)
+
+    @pytest.mark.parametrize("code", ALL_CODES)
+    def test_chordal_grid(self, monkeypatch, code):
+        value, reference = _with_reference_loop(
+            monkeypatch, chordal_series, parse_space(code), GRID, tol=1e-8)
+        assert np.array_equal(value, reference)
+
+    @pytest.mark.parametrize("code", ALL_CODES)
+    def test_antipode_runs_to_the_cap(self, monkeypatch, code):
+        value, reference = _with_reference_loop(
+            monkeypatch, symdiff_series, parse_space(code), math.pi, tol=1e-10)
+        assert value == reference
+
+    def test_shuffled_angles_over_chunks(self, monkeypatch):
+        # 1800 angles at 1e-8 and 200 small ones at 1e-3, whose windows of
+        # thousands of degrees spread the set over several chunks
+        rng = np.random.default_rng(11)
+        perm = rng.permutation(2000)
+        thetas = np.concatenate([rng.uniform(0.05, math.pi, 1800),
+                                 np.geomspace(1.2e-3, 4e-3, 200)])[perm]
+        tols = np.concatenate([np.full(1800, 1e-8), np.full(200, 1e-3)])[perm]
+        assert len(list(harmonic._series_chunks(np.sort(thetas)))) >= 3
+        value, reference = _with_reference_loop(
+            monkeypatch, symdiff_series, parse_space("s2"), thetas, tol=tols)
+        assert np.array_equal(value, reference)
+
+    @pytest.mark.parametrize("alpha, beta_", [(1.5, 0.5), (0, 0), (1, 2), (-0.5, 0.0),
+                                              (7.0, 3.5)])
+    def test_jacobi_rows(self, alpha, beta_):
+        # array and scalar arguments, integer and half-integer parameters,
+        # across several blocks of degrees
+        ts = np.linspace(-1, 1, 37)
+        for row, ref in zip(itertools.islice(jacobi_rows(alpha, beta_, ts), 300),
+                            _reference_jacobi_rows(alpha, beta_, ts)):
+            assert np.array_equal(row, ref)
+        for t in ts[::6]:
+            rows = itertools.islice(jacobi_rows(alpha, beta_, float(t)), 140)
+            assert list(rows) == list(itertools.islice(
+                _reference_jacobi_rows(alpha, beta_, float(t)), 140))
 
 
 class TestAvgSymdiff:

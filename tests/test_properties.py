@@ -1,5 +1,6 @@
-"""Property-based checks: the pair sum under relabelling and isometries, and
-the series and Monte Carlo discrepancy routes under relabelling."""
+"""Property-based checks: the pair sum under relabelling and isometries, the
+series and Monte Carlo discrepancy routes under relabelling, and the series
+route against the closed route."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crosp import discrepancy
-from crosp.discrepancy import discrepancy_mc, discrepancy_series, pair_sum
+from crosp.discrepancy import (discrepancy_closed, discrepancy_mc, discrepancy_series,
+                               pair_sum)
 from crosp.spaces import PointSet, parse_space, sample_uniform
 
 S2 = parse_space("s2")
@@ -94,3 +96,21 @@ def test_discrepancy_series_invariant_under_permutation(seed, n, code):
     space, pts, shuffled = _relabelled(code, n, seed)
     assert discrepancy_series(space, shuffled) == pytest.approx(
         discrepancy_series(space, pts), rel=1e-12)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds, n=small_sizes, code=codes)
+def test_series_route_agrees_with_closed_route(seed, n, code):
+    # each pair is accepted at its own tolerance: tol, relaxed to
+    # _SMALL_ANGLE_FLOOR / theta^2 for close pairs, as discrepancy_series sets
+    # it.  Pairs enter the sum twice, so the total is within 2 * sum(pair_tol)
+    # of the closed value.  The tail path is a certificate under the canonical
+    # measure; the stable-refinement path is not, and this property checks
+    # that it holds to the same tolerance.
+    space = parse_space(code)
+    pts = sample_uniform(space, n, np.random.default_rng(seed))
+    tol = 1e-8
+    theta = discrepancy._geodesic_matrix_of(space, pts)[np.triu_indices(n, k=1)]
+    pair_tol = np.maximum(tol, discrepancy._SMALL_ANGLE_FLOOR / theta**2)
+    assert (abs(discrepancy_series(space, pts, tol=tol) - discrepancy_closed(space, pts))
+            <= 2 * pair_tol.sum())

@@ -26,6 +26,8 @@ from crosp.specfun import (
     rising,
     signed_log_gamma,
     watson_rhs,
+    _JACOBI_BLOCK,
+    _JacobiRecurrence,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -291,6 +293,36 @@ class TestJacobi:
         ts = np.linspace(-1, 1, 9)
         for n, row in zip(range(30), jacobi_rows(1.5, 0.5, ts)):
             assert np.array_equal(row, [jacobi_eval(n, 1.5, 0.5, t) for t in ts])
+
+    def test_compacted_recurrence_equals_fresh_one(self):
+        # after a checkpoint drops some elements of t, the rows of the kept
+        # ones are those of a recurrence started on the kept elements alone
+        ts = np.cos(np.linspace(0.01, np.pi, 50))
+        keep = np.array([1, 2, 7, 30, 49])
+        rec = _JacobiRecurrence(1.5, 0.5, ts)
+        while rec.degree < 156:
+            rec.advance(156)
+        rec.compact(keep)
+        fresh = _JacobiRecurrence(1.5, 0.5, ts[keep])
+        while fresh.degree < 156:
+            fresh.advance(156)
+        assert np.array_equal(rec.t, fresh.t)
+        assert np.array_equal(rec.p_prev, fresh.p_prev)
+        assert np.array_equal(rec.p_cur, fresh.p_cur)
+        while rec.degree < 312:
+            assert np.array_equal(rec.advance(312), fresh.advance(312))
+        assert fresh.degree == 312
+
+    def test_blocks_end_at_the_limit(self):
+        rec = _JacobiRecurrence(0.5, 0.0, np.linspace(-1, 1, 4))
+        sizes = []
+        while rec.degree < 156:
+            sizes.append(len(rec.advance(156)))
+        assert sizes == [_JACOBI_BLOCK, _JACOBI_BLOCK, 155 - 2 * _JACOBI_BLOCK]
+        # a limit at or below the current degree would leave the state behind
+        with pytest.raises(ValueError):
+            rec.advance(156)
+        assert rec.degree == 156
 
     def test_bound_can_fail_with_swapped_parameters(self):
         # with beta > alpha the magnitude peaks at t = -1; degree 1 at (0, 1/2)
