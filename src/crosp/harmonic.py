@@ -28,7 +28,9 @@ so they cost nothing after it.  Each kept angle sees the same operations in
 the same order either way, so every value is bit-identical to the angle
 summed alone.
 
-The coefficient formulas import ``scipy.special.gammaln`` on first call.
+The coefficient formulas are products of gamma-function ratios
+Gamma(l + h1) / Gamma(l + h2), each taken as one ``specfun._lgamma_diff``,
+which never forms lgamma values of size l log l; no scipy is needed.
 
 Also houses the squared-Jacobi weighted integrals and their alternating-sum
 and Pochhammer-quotient closed forms, including the corrected form of the
@@ -47,8 +49,8 @@ import numpy as np
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .spaces import RadiusMeasure, SpaceSpec, ball_volume, gamma_const
-from .specfun import (_JacobiRecurrence, _jacobi_row, beta, check_order, gauss_jacobi,
-                      jacobi_at_one, jacobi_eval, jacobi_rows, rising, falling)
+from .specfun import (_JacobiRecurrence, _jacobi_row, _lgamma_diff, beta, check_order,
+                      gauss_jacobi, jacobi_at_one, jacobi_eval, jacobi_rows, rising, falling)
 
 __all__ = [
     "ExpansionCoeffs",
@@ -97,52 +99,39 @@ def zonal_phi(space: SpaceSpec, l: int, theta: float) -> float:
 
 
 def _level_weight(space, ls):
-    """m_l: weight of the degree-l eigenspace in the chordal expansion.
-
-    lgamma terms of size l log l are differenced in pairs before the exp.
-    """
-    from scipy.special import gammaln
-
+    """m_l: weight of the degree-l eigenspace in the chordal expansion."""
     d, d0 = space.d, space.d0
     s = (d + d0) / 2
-    return (2 * ls - 1 + s) * np.exp((gammaln(ls + 1) - gammaln(ls + d / 2))
-                                     + (gammaln(ls - 1 + s) - gammaln(ls + d0 / 2)))
+    return (2 * ls - 1 + s) * np.exp(_lgamma_diff(ls, 1, d / 2)
+                                     + _lgamma_diff(ls, s - 1, d0 / 2))
 
 
 def _log_chordal_coeff(space, ls):
     """log c_l: degree-l coefficient of the chordal metric (gamma quotient)."""
-    from scipy.special import gammaln
-
     d, d0 = space.d, space.d0
-    return (gammaln((d + 1) / 2) + gammaln(ls + d0 / 2)
-            - gammaln(ls + (d + d0 + 1) / 2)
-            + gammaln(ls - 0.5) - gammaln(0.5)
-            + gammaln(d / 2 + ls) - 2 * gammaln(ls + 1) - gammaln(d / 2))
-
-
-def _log_poch_ratio(n, alpha, beta_):
-    """log of (alpha+1)_n (beta+1)_n / (alpha+beta+3/2)_n (positive arguments)."""
-    from scipy.special import gammaln
-
-    return (gammaln(alpha + n + 1) - gammaln(alpha + 1)
-            + gammaln(beta_ + n + 1) - gammaln(beta_ + 1)
-            - gammaln(alpha + beta_ + 1.5 + n) + gammaln(alpha + beta_ + 1.5))
+    return (math.lgamma((d + 1) / 2) - math.lgamma(0.5) - math.lgamma(d / 2)
+            + _lgamma_diff(ls, d0 / 2, (d + d0 + 1) / 2)
+            + _lgamma_diff(ls, -0.5, 1) + _lgamma_diff(ls, d / 2, 1))
 
 
 def _radial_weights(space, measure, L):
     """a_1, ..., a_L: squared-Jacobi integrals against the radius measure.
 
-    The canonical sine measure admits a closed form; point-mass measures are
-    summed directly.
+    The canonical sine measure admits a closed form: with (a, b) = (d/2, d0/2),
+    a_l = 2 Gamma(l - 1/2) / (Gamma(1/2) Gamma(l)^2) * Gamma(d+1) Gamma(d0+1)
+    / Gamma(d+d0+2) * (a+1)_{l-1} (b+1)_{l-1} / (a+b+3/2)_{l-1}, whose gamma
+    functions of l pair up into three ratios.  Point-mass measures are summed
+    directly.
     """
     d, d0 = space.d, space.d0
     if measure.kind == "sine":
-        from scipy.special import gammaln
-
+        a, b = d / 2, d0 / 2
         ls = np.arange(1, L + 1, dtype=float)
-        return np.exp(math.log(2.0) + gammaln(ls - 0.5) - gammaln(0.5) - 2 * gammaln(ls)
-                      + gammaln(d + 1) + gammaln(d0 + 1) - gammaln(d + d0 + 2)
-                      + _log_poch_ratio(ls - 1, d / 2, d0 / 2))
+        const = (math.log(2.0) - math.lgamma(0.5) + math.lgamma(d + 1) + math.lgamma(d0 + 1)
+                 - math.lgamma(d + d0 + 2) - math.lgamma(a + 1) - math.lgamma(b + 1)
+                 + math.lgamma(a + b + 1.5))
+        return np.exp(const + _lgamma_diff(ls, -0.5, 0) + _lgamma_diff(ls, a, 0)
+                      + _lgamma_diff(ls, b, a + b + 0.5))
     nodes, weights = measure.rule()
     w_geom = np.sin(nodes / 2) ** (2 * d) * np.cos(nodes / 2) ** (2 * d0)
     rows = itertools.islice(jacobi_rows(d / 2, d0 / 2, np.cos(nodes)), L)
@@ -206,13 +195,10 @@ def coeff_tail(space: SpaceSpec, l):
 
     Elementwise for an array of levels ``l``.
     """
-    from scipy.special import gammaln
-
     d, d0 = space.d, space.d0
     s = (d + d0) / 2
     log_kappa = math.lgamma((d + 1) / 2) - math.lgamma(0.5) - math.lgamma(d / 2)
-    return 2.0 * np.exp(log_kappa + gammaln(l - 1 + s) + gammaln(l - 0.5)
-                        - gammaln(l + s - 0.5) - gammaln(l))
+    return 2.0 * np.exp(log_kappa + _lgamma_diff(l, s - 1, s - 0.5) + _lgamma_diff(l, -0.5, 0))
 
 
 @lru_cache(maxsize=64)

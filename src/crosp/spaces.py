@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebra
 from .errors import ConsistencyError, DomainError, UnsupportedSpaceError
-from .specfun import beta, reg_inc_beta
+from .specfun import _inc_beta, beta, reg_inc_beta
 
 __all__ = [
     "Family",
@@ -412,14 +412,23 @@ def embed(space: SpaceSpec, x) -> np.ndarray:
 def ball_volume(space: SpaceSpec, r):
     """Normalized volume of a geodesic ball of radius r in [0, pi].
 
-    Equals the regularized incomplete beta I_{sin^2(r/2)}(d/2, d0/2).
+    Equals the regularized incomplete beta I_{sin^2(r/2)}(d/2, d0/2).  Near
+    r = pi, sin^2(r/2) rounds to 1 and only cos^2(r/2) still carries
+    1 - sin^2(r/2).  That matters for a half-integer b = d0/2, where the
+    slope of I at 1 grows like (1 - x)^(b - 1) and is unbounded on s1 and
+    rp_n, so those volumes take 1 - x from cos^2(r/2).
     """
     arr = np.asarray(r, dtype=float)
     # written so that a NaN fails the check
     if not np.all((arr >= 0) & (arr <= math.pi + 1e-12)):
         raise DomainError("ball radius must lie in [0, pi]")
-    x = np.clip(np.sin(np.minimum(arr, math.pi) / 2) ** 2, 0.0, 1.0)
-    out = reg_inc_beta(x, space.d / 2, space.d0 / 2)
+    half = np.minimum(arr, math.pi) / 2
+    x = np.clip(np.sin(half) ** 2, 0.0, 1.0)
+    a, b = space.d / 2, space.d0 / 2
+    if b == int(b):
+        out = reg_inc_beta(x, a, b)
+    else:
+        out = _inc_beta(x, a, b, y=np.cos(half) ** 2)
     if np.isscalar(r) or arr.ndim == 0:
         return float(out)
     return out

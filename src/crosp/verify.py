@@ -74,14 +74,24 @@ def _finish(identity, grid, abs_errs, rel_errs, tol, notes, failures,
                               passed, notes, failures)
 
 
+# the tolerance of the diameter ratio's series at theta = pi in verify_constants
+_DIAMETER_TOL = 1e-10
+
+
 def verify_pointwise(space: SpaceSpec, grid_size: int = 181,
                      tol: float = 1e-8) -> VerificationReport:
     """Chordal metric vs gamma(Q) times the symmetric-difference expansion."""
+    return _pointwise_report(space, grid_size, tol)
+
+
+def _pointwise_report(space, grid_size=181, tol=1e-8, series=None):
+    """verify_pointwise, from ``series`` on its grid when the caller has it."""
     thetas = np.linspace(0.0, math.pi, grid_size)
     gam = spaces.gamma_const(space)
     abs_errs, rel_errs, failures = [], [], []
     try:
-        series = harmonic.symdiff_series(space, thetas, tol=tol / gam)
+        if series is None:
+            series = harmonic.symdiff_series(space, thetas, tol=tol / gam)
         errs = np.abs(np.sin(thetas / 2) - gam * series)
         abs_errs = [float(e) for e in errs]
         rel_errs = abs_errs  # both metrics are normalized to diameter 1
@@ -263,6 +273,12 @@ def verify_watson(n_max: int = 6, pairs=_WATSON_PAIRS,
 def verify_constants(space: SpaceSpec, tol: float = 1e-9, with_mc: bool = True,
                      mc_pairs: int = 20_000, seed: int = 0) -> VerificationReport:
     """Mean and diameter ratios of the two metrics against gamma(Q)."""
+    return _constants_report(space, tol, with_mc, mc_pairs, seed)
+
+
+def _constants_report(space, tol=1e-9, with_mc=True, mc_pairs=20_000, seed=0,
+                      diameter=None):
+    """verify_constants, from ``diameter`` = symdiff_series(pi) when the caller has it."""
     gam = spaces.gamma_const(space)
     abs_errs, rel_errs, failures = [], [], []
     notes_extra = ""
@@ -270,7 +286,9 @@ def verify_constants(space: SpaceSpec, tol: float = 1e-9, with_mc: bool = True,
         ratio = spaces.avg_chordal(space) / harmonic.avg_symdiff(space)
         rel_errs.append(abs(ratio - gam) / gam)
         abs_errs.append(abs(ratio - gam))
-        diam_ratio = 1.0 / harmonic.symdiff_series(space, math.pi, tol=1e-10)
+        if diameter is None:
+            diameter = harmonic.symdiff_series(space, math.pi, tol=_DIAMETER_TOL)
+        diam_ratio = 1.0 / diameter
         rel_errs.append(abs(diam_ratio - gam) / gam)
         abs_errs.append(abs(diam_ratio - gam))
     except CrospError as exc:
@@ -328,17 +346,37 @@ def verify_invariance(space: SpaceSpec, n_points: int = 100,
     )
 
 
+def _grid_and_diameter(space, grid_size=181, tol=1e-8):
+    """symdiff_series on verify_pointwise's grid and at pi in one pass.
+
+    Each angle keeps the tolerance of its own report (tol / gamma on the
+    grid, _DIAMETER_TOL at pi), and the series engine gives every angle the
+    bits it has when summed alone, so both reports equal those of the
+    separate suites.  If the pass fails, (None, None): each report then
+    evaluates, and reports, its own series.
+    """
+    thetas = np.append(np.linspace(0.0, math.pi, grid_size), math.pi)
+    tols = np.full(thetas.size, tol / spaces.gamma_const(space))
+    tols[-1] = _DIAMETER_TOL
+    try:
+        values = harmonic.symdiff_series(space, thetas, tol=tols)
+    except CrospError:
+        return None, None
+    return values[:-1], float(values[-1])
+
+
 def _all_suite(seed=0, **_):
     reports = []
-    for space in catalog():
-        reports.append(verify_pointwise(space))
+    series = {space: _grid_and_diameter(space) for space in catalog()}
+    for space, (grid, _) in series.items():
+        reports.append(_pointwise_report(space, series=grid))
     for space in catalog():
         reports.append(verify_coeff_chain(space))
     reports.append(verify_sq_integral())
     reports.append(verify_poly_reduction())
     reports.append(verify_watson())
-    for space in catalog():
-        reports.append(verify_constants(space, seed=seed))
+    for space, (_, diameter) in series.items():
+        reports.append(_constants_report(space, seed=seed, diameter=diameter))
     for space in (make_space("s", 2), make_space("rp", 3)):
         reports.append(verify_invariance(space, n_points=50, samples=100_000, seed=seed))
     return reports

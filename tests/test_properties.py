@@ -1,16 +1,20 @@
 """Property-based checks: the pair sum under relabelling and isometries, the
-series and Monte Carlo discrepancy routes under relabelling, and the series
-route against the closed route."""
+series and Monte Carlo discrepancy routes under relabelling, the series
+route against the closed route, and file round trips."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from crosp import discrepancy
+from crosp import discrepancy, io
 from crosp.discrepancy import (discrepancy_closed, discrepancy_mc, discrepancy_series,
                                pair_sum)
-from crosp.spaces import PointSet, parse_space, sample_uniform
+from crosp.spaces import PointSet, chart_point_oct, parse_space, sample_uniform
 
 S2 = parse_space("s2")
 CP2 = parse_space("cp2")
@@ -114,3 +118,41 @@ def test_series_route_agrees_with_closed_route(seed, n, code):
     pair_tol = np.maximum(tol, discrepancy._SMALL_ANGLE_FLOOR / theta**2)
     assert (abs(discrepancy_series(space, pts, tol=tol) - discrepancy_closed(space, pts))
             <= 2 * pair_tol.sum())
+
+
+@settings(max_examples=15, deadline=None)
+# labels with quotes, backslashes, control and non-ASCII characters; an
+# explicit alphabet spares hypothesis its Unicode table
+@given(seed=seeds, n=st.integers(1, 30),
+       label=st.text('a "\\\n\t\x00é∂\U0001d11e', max_size=12),
+       code=st.sampled_from(["s1", "s2", "s3", "rp2", "cp2", "hp2", "op2"]))
+def test_point_set_json_round_trip(seed, n, label, code):
+    # 17 significant digits name every double exactly
+    space, rng = parse_space(code), np.random.default_rng(seed)
+    if code == "op2":
+        # no uniform sampler: Jordan idempotents from Gaussian chart coordinates
+        rows = [chart_point_oct(rng.standard_normal(8), rng.standard_normal(8)).data
+                for _ in range(n)]
+        pts = PointSet(space, np.stack(rows), label)
+    else:
+        pts = sample_uniform(space, n, rng, label=label)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pts.json"
+        io.save_pointset(path, pts)
+        back = io.load_pointset(path)
+    assert back.space == pts.space and back.label == pts.label
+    assert back.points.dtype == pts.points.dtype
+    assert back.points.tobytes() == pts.points.tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(dm=st.integers(1, 8).flatmap(lambda n: arrays(
+    np.float64, (n, n), elements=st.floats(allow_nan=False, allow_infinity=False))))
+def test_distance_matrix_csv_round_trip(dm):
+    # any finite double, subnormals and signed zeros included
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dm.csv"
+        io.save_distance_matrix(path, dm)
+        back = io.load_distance_matrix(path)
+    assert back.dtype == np.float64 and back.shape == dm.shape
+    assert back.tobytes() == dm.tobytes()

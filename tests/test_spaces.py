@@ -302,8 +302,8 @@ class TestBallVolume:
         """ball_volume(r) against I_{sin^2(r/2)}(d/2, d0/2) in mpmath at 40 digits.
 
         The bound is the error of reg_inc_beta (1e-15 on the finite sum, 2e-15
-        on betainc) plus that of the float sin^2(r/2), at most 5 ulp
-        relative, carried through x I'(x).
+        on the half-integer forms) plus that of the float sin^2(r/2), at most
+        5 ulp relative, carried through x I'(x).
         """
         space = parse_space(code)
         a, b = space.d / 2, space.d0 / 2
@@ -321,6 +321,20 @@ class TestBallVolume:
                 bound = float((1e-15 if b == int(b) else 2e-15) * exact
                               + slope * 5 * 2.0**-52) + 2.0**-1074
             assert err <= bound, (code, r)
+
+    @pytest.mark.parametrize("code", ["rp2", "s1"])
+    def test_near_pi_without_slope_allowance(self, code):
+        """On d0 = 1 the volume has an unbounded slope at r = pi, where
+        sin^2(r/2) rounds to 1; ball_volume takes 1 - sin^2(r/2) from
+        cos^2(r/2), so these radii meet the 2e-15 bound of reg_inc_beta alone."""
+        space = parse_space(code)
+        a, b = space.d / 2, space.d0 / 2
+        for r in (math.pi - 1e-8, math.pi - 1e-6, math.pi - 1e-4):
+            with mpmath.workdps(40):
+                x = mpmath.sin(mpmath.mpf(r) / 2) ** 2
+                exact = mpmath.betainc(a, b, 0, x, regularized=True)
+                err = float(abs(mpmath.mpf(ball_volume(space, r)) - exact) / exact)
+            assert err <= 2e-15, (code, r)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -148,10 +148,44 @@ class TestRegIncBeta:
             reg_inc_beta(x, a, b)
 
 
+class TestLgammaDiff:
+    """log(Gamma(x + h1) / Gamma(x + h2)) against mpmath at 40 digits, on both
+    sides of the switch to the Stirling difference at x + min(h) = 12, with
+    the offsets of the catalog's coefficient formulas."""
+
+    XS = [0.5, 3.0, 11.0, 11.5, 12.0, 12.5, 13.0, 20.0, 37.0, 100.0, 1e3, 1e4, 1e6]
+    OFFSETS = [(1, 8), (11, 4), (-0.5, 1), (0.5, 12.5), (-0.5, 0), (4, 12.5), (1.5, 1)]
+
+    @pytest.mark.parametrize("h1,h2", OFFSETS)
+    def test_against_mpmath(self, h1, h2):
+        # the Stirling difference is held to the size of the result (worst
+        # measured: 2.4e-14 on a value of 166, x = 1e6); below the switch the
+        # two math.lgamma values each carry an ulp or so of their own size
+        xs = [x for x in self.XS if x + min(h1, h2) > 0]
+        vals = specfun._lgamma_diff(np.array(xs), h1, h2)
+        for x, v in zip(xs, vals):
+            assert specfun._lgamma_diff(x, h1, h2) == v
+            with mpmath.workdps(40):
+                lg1, lg2 = mpmath.loggamma(x + h1), mpmath.loggamma(x + h2)
+                size = abs(lg1 - lg2) if x + min(h1, h2) >= 12 else max(abs(lg1), abs(lg2))
+                assert abs(v - (lg1 - lg2)) <= 2e-15 + 4e-16 * size, (x, h1, h2)
+
+    def test_exact_antisymmetry(self):
+        # swapped offsets give the exact negative, equal offsets exactly 0: so
+        # m_l is exactly 2l + 1 on s2, where its two ratios cancel
+        for h1, h2 in self.OFFSETS:
+            xs = np.array([x for x in self.XS if x + min(h1, h2) > 0])
+            assert np.array_equal(specfun._lgamma_diff(xs, h2, h1),
+                                  -specfun._lgamma_diff(xs, h1, h2))
+        assert not np.any(specfun._lgamma_diff(np.array(self.XS), 1.5, 1.5))
+
+
 # (a, b) = (d/2, d0/2) of the catalog spaces s1, s2, s3, rp2, cp2, hp2, op2,
-# the even spheres s4 and s6, and s16, whose b = 8 is the finite sum's cap
+# the even spheres s4 and s6, s16, whose b = 8 is the finite sum's cap, and
+# past the catalog rp3, rp5, s5, s18 and two pairs beyond the cap
 ORACLE_AB = [(0.5, 0.5), (1, 1), (1.5, 1.5), (1, 0.5), (2, 1), (4, 2), (8, 4),
-             (2, 2), (3, 3), (8, 8)]
+             (2, 2), (3, 3), (8, 8), (1.5, 0.5), (2.5, 0.5), (2.5, 2.5), (9, 9),
+             (1, 9), (0.5, 9)]
 ORACLE_X = ([0.0, 0.5, 1.0, 1e-300, 1e-30, 1e-12, 2.0**-30, 1e-6, 1e-3, 0.1, 1 / 3,
              0.9, 0.999, 1 - 1e-6, 1 - 1e-12, 1 - 2.0**-52, 1 - 2.0**-53]
             + [float(x) for x in np.linspace(0, 1, 129)[1:-1]])
@@ -176,9 +210,10 @@ class TestRegIncBetaOracle:
     """I_x(a, b) against mpmath at 40 digits.
 
     An integer b <= 8 takes the finite sum, held to 1e-15 relative (worst
-    measured 4.3e-16).  Other b call scipy's betainc, held to what it
-    achieves: 2e-15 (worst 1.5e-15), except (1/2, 1/2) near x = 1, where it
-    loses up to 2.8e-9 (at x = 1 - 2^-53).
+    measured 4.3e-16).  Other (a, b) in 1/2 N take the elementary forms and
+    the power series, held to 2e-15 everywhere, x near 1 included (worst
+    measured 1.05e-15, at (3/2, 1/2)); scipy's betainc, which served them before,
+    lost 2.8e-9 on (1/2, 1/2) at x = 1 - 2^-53.
     """
 
     @pytest.mark.parametrize("a,b", ORACLE_AB)
@@ -186,13 +221,8 @@ class TestRegIncBetaOracle:
         finite = b == int(b) and b <= specfun._FINITE_SUM_MAX_B
         vals = [reg_inc_beta(x, a, b) for x in ORACLE_X]
         assert vals == list(reg_inc_beta(np.array(ORACLE_X), a, b))
+        bound = 1e-15 if finite else 2e-15
         for x, v in zip(ORACLE_X, vals):
-            if finite:
-                bound = 1e-15
-            elif (a, b) == (0.5, 0.5) and x > 0.99:
-                bound = 3e-9
-            else:
-                bound = 2e-15
             assert inc_beta_error(v, exact_inc_beta(x, a, b)) <= bound, (a, b, x)
 
     def test_endpoints_exact(self):
@@ -201,14 +231,27 @@ class TestRegIncBetaOracle:
             assert reg_inc_beta(1.0, a, b) == 1.0
 
     def test_finite_sum_cap(self):
-        # the oracle covers the cap itself; past it (the finite sum reached
-        # 1.2e-15 at b = 12) betainc takes over
+        # the oracle covers the cap itself and b = cap + 1 past it (the finite
+        # sum reached 1.2e-15 at b = 12), where the half-integer forms take
+        # over; betainc serves, bit for bit, only (a, b) outside 1/2 N and
+        # past _HALF_INTEGER_MAX
         cap = specfun._FINITE_SUM_MAX_B
-        assert (cap, cap) in ORACLE_AB
+        assert {(cap, cap), (1, cap + 1), (cap + 1, cap + 1)} <= set(ORACLE_AB)
         xs = np.array(ORACLE_X)
-        for a in (1, cap + 1):
-            assert np.array_equal(reg_inc_beta(xs, a, cap + 1),
-                                  scipy.special.betainc(a, cap + 1, xs))
+        big = specfun._HALF_INTEGER_MAX + 0.5
+        for a, b in ((1, 0.3), (0.7, 2.5), (1.25, cap + 1), (1, big), (big, 0.5)):
+            assert np.array_equal(reg_inc_beta(xs, a, b), scipy.special.betainc(a, b, xs))
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (1, 0.5), (1.5, 1.5), (2.5, 0.5)])
+    def test_value_independent_of_the_array(self, a, b):
+        # the power series sums until its largest x converges; a value must
+        # not depend on which other x share the call
+        rng = np.random.default_rng(7)
+        xs = np.concatenate([rng.random(300) ** 3, [0.01, 0.2, 0.43, 0.6]])
+        whole = reg_inc_beta(xs, a, b)
+        for part in (xs[:1], xs[::7], xs[-4:], rng.permutation(xs)):
+            got = reg_inc_beta(part, a, b)
+            assert np.array_equal(got, [whole[np.flatnonzero(xs == x)[0]] for x in part])
 
 
 class TestPochhammer:
@@ -487,7 +530,53 @@ class TestHyp3F2:
         assert val == pytest.approx(ref, rel=1e-12)
 
 
+    # nonterminating sums with a closed form: Watson's theorem,
+    # 3F2(a, b, c; (a+b+1)/2, 2c; 1), and Dixon's, 3F2(a, b, c; 1+a-b, 1+a-c; 1)
+    @staticmethod
+    def watson(a, b, c):
+        return ((a, b, c, (a + b + 1) / 2, 2 * c),
+                ([0.5, c + 0.5, (a + b + 1) / 2, c - (a + b - 1) / 2],
+                 [(a + 1) / 2, (b + 1) / 2, c - (a - 1) / 2, c - (b - 1) / 2]))
+
+    @staticmethod
+    def dixon(a, b, c):
+        return ((a, b, c, 1 + a - b, 1 + a - c),
+                ([1 + a / 2, 1 + a - b, 1 + a - c, 1 + a / 2 - b - c],
+                 [1 + a, 1 + a / 2 - b, 1 + a / 2 - c, 1 + a - b - c]))
+
+    @pytest.mark.parametrize("family,abc", [
+        ("watson", (0.3, 0.6, 2.5)), ("watson", (-0.4, 0.7, 2.3)),
+        ("watson", (0.5, 1.5, 3.5)), ("watson", (1.2, 0.4, 3.2)),
+        ("dixon", (2.5, 0.25, -0.5)), ("dixon", (1.3, -0.4, -0.2)),
+        ("dixon", (3.0, 0.5, 0.25)), ("dixon", (0.7, -0.6, 0.1)),
+    ])
+    def test_nonterminating_against_mpmath(self, family, abc):
+        # the sum stops once a term is below 1e-16 of it, which leaves a tail
+        # of about k / s such terms (s = d + e - a - b - c, here 2.55 to 5):
+        # measured worst 2.0e-13, at s = 2.55
+        params, (num, den) = getattr(self, family)(*abc)
+        with mpmath.workdps(40):
+            exact = mpmath.gammaprod(num, den)
+            err = abs(mpmath.mpf(hyp3f2_unit(Hyp3F2Params(*params))) / exact - 1)
+        assert err <= 1e-12
+
+
 class TestWatson:
+    # generic (a, b, c) with 2c - a - b + 1 > 0 and no gamma argument of the
+    # closed form at a pole
+    ORACLE = [(a, b, c) for a in (-2.5, -0.83, 0.45, 1.7) for b in (-0.37, 0.6, 2.2)
+              for c in (-0.21, 0.45, 1.3, 3.1) if 2 * c - a - b + 1 > 0]
+
+    @pytest.mark.parametrize("a,b,c", ORACLE)
+    def test_against_mpmath(self, a, b, c):
+        # eight lgamma values, each within an ulp or so: measured worst 3e-15
+        with mpmath.workdps(40):
+            exact = mpmath.gammaprod([0.5, c + 0.5, (a + b + 1) / 2, c - (a + b - 1) / 2],
+                                     [(a + 1) / 2, (b + 1) / 2, c - (a - 1) / 2,
+                                      c - (b - 1) / 2])
+            err = abs(mpmath.mpf(watson_rhs(a, b, c)) / exact - 1)
+        assert err <= 1e-14
+
     def test_unit_series_cancellation(self):
         # at a = 0 the series is 1; the gamma quotient must cancel to 1
         assert watson_rhs(0, 0.4, 1.2) == pytest.approx(1.0, rel=1e-13)

@@ -97,5 +97,18 @@ def test_render_reports_one_line_each():
     assert "pass" in text
 
 
+def test_all_equals_the_single_suites():
+    # verify all sums each space's series once, for its pointwise grid and
+    # the diameter of its constants report; every report must still equal,
+    # field for field and bit for bit, the one its own suite gives
+    singles = []
+    for name in ("pointwise", "chain", "integral", "polysum", "watson", "constants"):
+        singles += run_suite(name, seed=0)
+    singles += [verify_invariance(parse_space(code), n_points=50, samples=100_000, seed=0)
+                for code in ("s2", "rp3")]
+    merged = run_suite("all", seed=0)
+    assert [r.to_dict() for r in merged] == [r.to_dict() for r in singles]
+
+
 def test_catalog_has_seven_spaces():
     assert [s.code for s in catalog()] == ALL_CODES
