@@ -25,11 +25,11 @@ from .spaces import (
     _as_data,
     _cos_from_inner,
     _embedding,
+    _inner_pairs,
     avg_chordal,
     ball_volume,
     cos_geodesic_matrix,
     gamma_const,
-    geodesic_matrix,
     sample_uniform,
 )
 
@@ -56,7 +56,7 @@ _PAIR_TILE = 512
 # most 2**20 entries sum in int64 without overflow
 _SUM_CHUNK = 32_768
 # largest |theta(x, x)| a distance matrix may carry on its diagonal (radians);
-# geodesic_matrix leaves at most 7e-8 on every catalog space
+# geodesic_matrix leaves at most 7e-8 on every catalog space; routes read only i != j
 _DIAGONAL_TOL = 1e-6
 
 
@@ -106,11 +106,12 @@ class _ExactSum:
     large or non-finite values) takes the exponent buckets.
     """
 
-    def __init__(self):
+    def __init__(self, values=()):
         self._total = 0
         self._high = np.zeros(_EXP_BUCKETS)
         self._low = np.zeros(_EXP_BUCKETS)
         self._pending = 0
+        self.add(values)
 
     def add(self, values) -> None:
         flat = np.ravel(values)
@@ -159,14 +160,6 @@ class _ExactSum:
         return self._total / (1 << (53 - _EXP_MIN))
 
 
-def _distances(theta, metric):
-    """The chosen distance of geodesic angles theta; overwrites theta."""
-    if metric == "chordal":
-        theta *= 0.5
-        np.sin(theta, out=theta)
-    return theta
-
-
 def _distances_of_cos(c, metric):
     """The chosen distance of cos theta; overwrites c.
 
@@ -202,11 +195,32 @@ def _distance_matrix(dm) -> np.ndarray:
     return dm
 
 
-def _geodesic_matrix_of(space, pts):
-    """Pairwise geodesic matrix from a PointSet or a precomputed matrix."""
-    if isinstance(pts, PointSet):
-        return geodesic_matrix(space, _point_array(space, pts))
-    return _distance_matrix(pts)
+def _pair_angles(space, pts):
+    """(N, angles of the pairs i < j in row order) of a PointSet or distance matrix.
+
+    A point pair's angle comes from its own two embedded rows, a matrix
+    pair's is 0.5 * (dm[i, j] + dm[j, i]): neither depends on the pair's
+    position or order, so relabelling only permutes the angles.  Pairs are
+    taken _SUM_CHUNK at a time, so the gathered rows are O(chunk m).
+    """
+    points = isinstance(pts, PointSet)
+    if points:
+        E = _embedding(space, _point_array(space, pts))
+    else:
+        dm = _distance_matrix(pts)
+    n = len(E if points else dm)
+    theta = np.empty(n * (n - 1) // 2)
+    ends = np.cumsum(np.arange(n - 1, -1, -1))  # pairs in rows 0 to i
+    for start in range(0, theta.size, _SUM_CHUNK):
+        p = np.arange(start, min(start + _SUM_CHUNK, theta.size))
+        i = np.searchsorted(ends, p, side="right")
+        j = p - ends[i] + n
+        if points:
+            inner = _inner_pairs(E.take(i, axis=0), E.take(j, axis=0))
+            theta[p] = np.arccos(_cos_from_inner(space, inner))
+        else:
+            theta[p] = 0.5 * (dm[i, j] + dm[j, i])
+    return n, theta
 
 
 def _tiled_pair_sum(space, X, metric) -> float:
@@ -238,37 +252,27 @@ def _tiled_pair_sum(space, X, metric) -> float:
     return 2 * acc.value()
 
 
-def _matrix_pair_sum(dm, metric) -> float:
-    """Pair sum of a validated geodesic matrix, in row blocks, diagonal excluded."""
-    n = dm.shape[0]
-    acc = _ExactSum()
-    step = max(1, _PAIR_TILE**2 // max(n, 1))
-    for i in range(0, n, step):
-        vals = _distances(np.array(dm[i:i + step]), metric)
-        vals[np.arange(len(vals)), np.arange(i, i + len(vals))] = 0.0
-        acc.add(vals)
-    return acc.value()
-
-
 def _count_and_pair_sum(space, pts, metric: str = "chordal"):
     """(N, pair sum) of a PointSet, tile by tile, or of a distance matrix."""
     if metric not in ("chordal", "geodesic"):
         raise DomainError(f"unknown metric {metric!r}")
     if isinstance(pts, PointSet):
-        X = _point_array(space, pts)
-        return len(pts), _tiled_pair_sum(space, X, metric)
-    dm = _distance_matrix(pts)
-    return dm.shape[0], _matrix_pair_sum(dm, metric)
+        return len(pts), _tiled_pair_sum(space, _point_array(space, pts), metric)
+    n, theta = _pair_angles(space, pts)
+    if metric == "chordal":
+        theta = np.sin(0.5 * theta)
+    return n, 2 * _ExactSum(theta).value()
 
 
 def pair_sum(space: SpaceSpec, pts, metric: str = "chordal") -> float:
     """Sum of the chosen distance over all ordered pairs of distinct indices.
 
     The diagonal counts as zero.  A PointSet is summed over the upper
-    triangle, tile by tile, and the total doubled; a distance matrix row
-    block by row block.  The sum is exactly rounded: it depends only on the
-    multiset of pair distances, not on labelling, tiling or tile order.
-    Memory is O(tile^2 + N m) for a PointSet.
+    triangle, tile by tile, a distance matrix over the pair angles
+    0.5 * (dm[i, j] + dm[j, i]), i < j, and the total doubled.  The sum is
+    exactly rounded: it depends only on the multiset of pair distances, not
+    on labelling, tiling or tile order.  Memory is O(tile^2 + N m) for a
+    PointSet.
     """
     n, total = _count_and_pair_sum(space, pts, metric)
     if n == 0:
@@ -311,29 +315,19 @@ def discrepancy_series(space: SpaceSpec, pts, measure: RadiusMeasure = None,
     cap.  Only under the canonical measure is the tail exact and the first
     path a certificate; under a point-mass measure the tail is an
     extrapolated 1/l^2 estimate, so the total is an estimate too.
+    The pair values are summed exactly over ``_pair_angles``, so relabelling
+    the points (or permuting a matrix's rows and columns together) leaves the
+    result unchanged bit for bit.
     """
-    return _series_of(space, _geodesic_matrix_of(space, pts), measure, tol)
-
-
-def _series_of(space, dm, measure, tol) -> float:
-    """discrepancy_series of an already validated geodesic matrix."""
     if measure is None:
         measure = RadiusMeasure.canonical()
-    n = dm.shape[0]
-    if n == 0:
-        return 0.0
+    n, theta = _pair_angles(space, pts)
     mean = avg_symdiff(space, measure)
-    theta = dm[np.triu_indices(n, k=1)]
-    if theta.size:
-        with np.errstate(divide="ignore"):
-            pair_tol = np.where(theta > 0,
-                                np.maximum(tol, _SMALL_ANGLE_FLOOR / theta**2),
-                                tol)
-        off = symdiff_series(space, theta, measure, pair_tol)
-    else:
-        off = np.zeros(0)
+    with np.errstate(divide="ignore"):
+        pair_tol = np.where(theta > 0, np.maximum(tol, _SMALL_ANGLE_FLOOR / theta**2), tol)
+    off = symdiff_series(space, theta, measure, pair_tol)
     # kernel(theta) = mean - symdiff(theta); diagonal contributes mean each
-    return float(n * mean + 2 * np.sum(mean - off))
+    return float(n * mean + 2 * _ExactSum(mean - off).value())
 
 
 def _block_rng(root, block: int) -> np.random.Generator:
@@ -460,23 +454,21 @@ def invariance_residual(space: SpaceSpec, pts, route: str = "closed",
 
     The closed route vanishes to rounding by construction (regression guard);
     the series and Monte Carlo routes are genuine checks.  The Monte Carlo
-    route returns an McEstimate whose stderr is scaled by gamma.  tau[D] is
-    the tiled ``pair_sum``; only the series route forms the geodesic matrix.
-    ``workers`` is passed to ``discrepancy_mc``, where it has no effect.
+    route returns an McEstimate whose stderr is scaled by gamma.  On every
+    route tau[D] is the exactly rounded chordal ``pair_sum``.  ``workers``
+    is passed to ``discrepancy_mc``, where it has no effect.
     """
-    gam = gamma_const(space)
-    if route == "series":
-        dm = _geodesic_matrix_of(space, pts)
-        n, tau_sum = dm.shape[0], _matrix_pair_sum(dm, "chordal")
-        lam = _series_of(space, dm, measure, tol)
-        return gam * lam + tau_sum - avg_chordal(space) * n**2
-    if route not in ("closed", "mc"):
+    if route not in ("closed", "series", "mc"):
         raise DomainError(f"unknown route {route!r}")
+    gam = gamma_const(space)
     n, tau_sum = _count_and_pair_sum(space, pts)
     target = avg_chordal(space) * n**2
+    if route == "mc":
+        est = discrepancy_mc(space, pts, samples, seed=seed, workers=workers)
+        return McEstimate(gam * est.value + tau_sum - target,
+                          gam * est.stderr, est.samples, est.seed)
     if route == "closed":
         lam = _closed_from_sum(space, n, tau_sum)
-        return gam * lam + tau_sum - target
-    est = discrepancy_mc(space, pts, samples, seed=seed, workers=workers)
-    return McEstimate(gam * est.value + tau_sum - target,
-                      gam * est.stderr, est.samples, est.seed)
+    else:
+        lam = discrepancy_series(space, pts, measure, tol)
+    return gam * lam + tau_sum - target

@@ -369,10 +369,22 @@ def cos_geodesic_matrix(space: SpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.nd
 
 
 def geodesic_matrix(space: SpaceSpec, X: np.ndarray, Y: np.ndarray = None) -> np.ndarray:
-    """Pairwise geodesic distances (radians) between stacked point arrays."""
+    """Pairwise geodesic distances (radians) between stacked point arrays.
+
+    Entries are rounded by their position in the Gram product.
+    """
     if Y is None:
         Y = X
     return np.arccos(cos_geodesic_matrix(space, X, Y))
+
+
+def _inner_pairs(EX: np.ndarray, EY: np.ndarray) -> np.ndarray:
+    """<EX[k], EY[k]> of matching embedded rows, each row summed on its own.
+
+    Unlike an entry of a Gram product, a value depends neither on where its
+    rows sit nor on which array is EX.
+    """
+    return np.einsum("ij,ij->i", EX, EY)
 
 
 def cos_geodesic_pairs(space: SpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -381,8 +393,7 @@ def cos_geodesic_pairs(space: SpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.nda
         raise DomainError("paired arrays must have identical shapes")
     if X.size == 0:
         return np.zeros(0)
-    inner = np.sum(_embedding(space, X) * _embedding(space, Y), axis=1)
-    return _cos_from_inner(space, inner)
+    return _cos_from_inner(space, _inner_pairs(_embedding(space, X), _embedding(space, Y)))
 
 
 def geodesic(space: SpaceSpec, x, y) -> float:

@@ -79,13 +79,11 @@ _DIAMETER_TOL = 1e-10
 
 
 def verify_pointwise(space: SpaceSpec, grid_size: int = 181,
-                     tol: float = 1e-8) -> VerificationReport:
-    """Chordal metric vs gamma(Q) times the symmetric-difference expansion."""
-    return _pointwise_report(space, grid_size, tol)
+                     tol: float = 1e-8, series=None) -> VerificationReport:
+    """Chordal metric vs gamma(Q) times the symmetric-difference expansion.
 
-
-def _pointwise_report(space, grid_size=181, tol=1e-8, series=None):
-    """verify_pointwise, from ``series`` on its grid when the caller has it."""
+    ``series``, when the caller has it, is symdiff_series on the grid.
+    """
     thetas = np.linspace(0.0, math.pi, grid_size)
     gam = spaces.gamma_const(space)
     abs_errs, rel_errs, failures = [], [], []
@@ -271,14 +269,12 @@ def verify_watson(n_max: int = 6, pairs=_WATSON_PAIRS,
 
 
 def verify_constants(space: SpaceSpec, tol: float = 1e-9, with_mc: bool = True,
-                     mc_pairs: int = 20_000, seed: int = 0) -> VerificationReport:
-    """Mean and diameter ratios of the two metrics against gamma(Q)."""
-    return _constants_report(space, tol, with_mc, mc_pairs, seed)
+                     mc_pairs: int = 20_000, seed: int = 0,
+                     diameter: float = None) -> VerificationReport:
+    """Mean and diameter ratios of the two metrics against gamma(Q).
 
-
-def _constants_report(space, tol=1e-9, with_mc=True, mc_pairs=20_000, seed=0,
-                      diameter=None):
-    """verify_constants, from ``diameter`` = symdiff_series(pi) when the caller has it."""
+    ``diameter``, when the caller has it, is symdiff_series at pi.
+    """
     gam = spaces.gamma_const(space)
     abs_errs, rel_errs, failures = [], [], []
     notes_extra = ""
@@ -369,14 +365,14 @@ def _all_suite(seed=0, **_):
     reports = []
     series = {space: _grid_and_diameter(space) for space in catalog()}
     for space, (grid, _) in series.items():
-        reports.append(_pointwise_report(space, series=grid))
+        reports.append(verify_pointwise(space, series=grid))
     for space in catalog():
         reports.append(verify_coeff_chain(space))
     reports.append(verify_sq_integral())
     reports.append(verify_poly_reduction())
     reports.append(verify_watson())
     for space, (_, diameter) in series.items():
-        reports.append(_constants_report(space, seed=seed, diameter=diameter))
+        reports.append(verify_constants(space, seed=seed, diameter=diameter))
     for space in (make_space("s", 2), make_space("rp", 3)):
         reports.append(verify_invariance(space, n_points=50, samples=100_000, seed=seed))
     return reports

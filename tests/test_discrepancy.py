@@ -314,6 +314,26 @@ class TestSeriesRoute:
         assert discrepancy_series(CP2, dm) == pytest.approx(
             discrepancy_series(CP2, pts), rel=1e-12)
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_permuted_distance_matrix_bit_identical(self, symmetric):
+        # rows and columns permuted together: the same pairs, so the same bits,
+        # also for a matrix that is symmetric only within the 1e-9 bound
+        rng = np.random.default_rng(16)
+        n = 100
+        dm = np.triu(geodesic_matrix(S2, sample_uniform(S2, n, rng).points), 1)
+        dm += dm.T
+        if not symmetric:
+            dm += 5e-10 * rng.uniform(-1.0, 1.0, (n, n)) * (1 - np.eye(n))
+            assert np.any(dm != dm.T)
+        expected = (discrepancy_series(S2, dm), pair_sum(S2, dm, "chordal"),
+                    pair_sum(S2, dm, "geodesic"), invariance_residual(S2, dm, route="series"))
+        for _ in range(2):
+            perm = rng.permutation(n)
+            pm = dm[np.ix_(perm, perm)]
+            assert (discrepancy_series(S2, pm), pair_sum(S2, pm, "chordal"),
+                    pair_sum(S2, pm, "geodesic"),
+                    invariance_residual(S2, pm, route="series")) == expected
+
 
 class TestMcRoute:
     def test_antipodal_pair(self):
