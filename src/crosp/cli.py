@@ -17,6 +17,7 @@ import numpy as np
 from . import discrepancy as disc
 from . import harmonic, io, spaces, verify
 from .errors import CrospError
+from .specfun import check_order
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -25,15 +26,14 @@ EXIT_NUMERIC = 3
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("CROSP_SEED")
-    if env is not None:
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("CROSP_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise CrospError(f"CROSP_SEED must be an integer, got {env!r}") from None
-    return 0
+    return check_order(seed, 0, "the seed")
 
 
 def _config_dict(args, seed) -> dict:
@@ -132,14 +132,10 @@ def _cmd_discrepancy(args):
         value = disc.discrepancy_closed(space, payload)
     elif args.route == "series":
         value = disc.discrepancy_series(space, payload, tol=args.tol)
-    elif args.route == "mc":
-        if isinstance(payload, np.ndarray):
-            raise CrospError("the mc route needs an explicit point set, not a matrix")
+    else:  # "mc"; argparse restricts the choices
         est = disc.discrepancy_mc(space, payload, args.samples, seed=seed,
                                   workers=args.threads)
         value, stderr = est.value, est.stderr
-    else:  # pragma: no cover - argparse restricts choices
-        raise CrospError(f"unknown route {args.route}")
     doc = {
         "config": _config_dict(args, seed),
         "quantity": "ball_discrepancy",

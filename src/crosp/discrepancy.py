@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .harmonic import avg_symdiff, symdiff_series
+from .specfun import check_order
 from .spaces import (
     PointSet,
     RadiusMeasure,
@@ -53,7 +54,9 @@ _MC_BLOCK = 4096
 _PAIR_TILE = 512
 # entries the exact accumulator takes at once: 32K-entry chunks ran at about
 # 9 ns per entry, one 1M-entry block at about 18; the integer limbs of at
-# most 2**20 entries sum in int64 without overflow
+# most 2**20 entries sum in int64 without overflow, and the float exponent
+# buckets of at most 2**26 exactly: below 2**52 in units of 1 (high parts)
+# and below 2**53 in units of 2**-27 (low parts)
 _SUM_CHUNK = 32_768
 # largest |theta(x, x)| a distance matrix may carry on its diagonal (radians);
 # geodesic_matrix leaves at most 7e-8 on every catalog space; routes read only i != j
@@ -74,9 +77,6 @@ class McEstimate:
 # e in [-1073, 1024]; the bucket of a value is e - _EXP_MIN
 _EXP_MIN = -1073
 _EXP_BUCKETS = 1024 - _EXP_MIN + 1
-# the float bucket sums of at most 2**26 entries are exact: below 2**52 in
-# units of 1 (high parts) and below 2**53 in units of 2**-27 (low parts)
-_EXACT_ENTRIES = 2**26
 # a chunk whose values all lie in {0} u [2**-30, 4) is summed in two integer
 # limbs, v = hi * 2**-40 + lo * 2**-83 with hi = floor(v * 2**40) < 2**42
 # and lo < 2**43: v >= 2**-30 has no bit below 2**-82, so lo is an integer
@@ -91,12 +91,13 @@ class _ExactSum:
 
     Each value's mantissa, scaled by 2**26, splits into an integral high
     part of 26 bits and a fractional low part of 27 bits.  np.bincount sums
-    each part per exponent, exactly, and the buckets go into one Python
-    integer in units of 2**(_EXP_MIN - 53); ``value`` rounds it once, by a
-    correctly rounded integer division.  The result is the exact sum rounded
-    to nearest, as ``math.fsum`` returns it, whatever the order of the values
-    or the split of the blocks.  This is the small-superaccumulator idea of
-    Neal (arXiv:1505.05571) with numpy's vectorised loops.
+    each part per exponent of one chunk, exactly, and the buckets go at once
+    into one Python integer in units of 2**(_EXP_MIN - 53); ``value`` rounds
+    it once, by a correctly rounded integer division.  The result is the
+    exact sum rounded to nearest, as ``math.fsum`` returns it, whatever the
+    order of the values or the split of the blocks.  This is the
+    small-superaccumulator idea of Neal (arXiv:1505.05571) with numpy's
+    vectorised loops.
 
     Distances lie in a known range, so most chunks take a cheaper exact
     path: when every value is 0 or in [2**-30, 4), each splits into two
@@ -108,9 +109,6 @@ class _ExactSum:
 
     def __init__(self, values=()):
         self._total = 0
-        self._high = np.zeros(_EXP_BUCKETS)
-        self._low = np.zeros(_EXP_BUCKETS)
-        self._pending = 0
         self.add(values)
 
     def add(self, values) -> None:
@@ -134,29 +132,21 @@ class _ExactSum:
         self._total += limbs << (53 - _EXP_MIN - _HI_BITS - _LO_BITS)
 
     def _add_buckets(self, chunk) -> None:
-        if self._pending + chunk.size > _EXACT_ENTRIES:
-            self._flush()
         mant, exp = np.frexp(chunk)
         mant *= 2.0**26
         high = np.trunc(mant)
         mant -= high  # the low part
         exp -= _EXP_MIN
-        self._high += np.bincount(exp, high, _EXP_BUCKETS)
-        self._low += np.bincount(exp, mant, _EXP_BUCKETS)
-        self._pending += chunk.size
-
-    def _flush(self) -> None:
-        # a value is (high + low) * 2**(k + 27) units, k its bucket
-        for k in np.flatnonzero(self._high).tolist():
-            self._total += int(self._high[k]) << (k + 27)
-        for k in np.flatnonzero(self._low).tolist():
-            self._total += int(self._low[k] * 2.0**27) << k
-        self._high[:] = 0.0
-        self._low[:] = 0.0
-        self._pending = 0
+        # a value is (high + low) * 2**(k + 27) units, k its bucket; a chunk's
+        # bucket sums are exact (see _SUM_CHUNK)
+        highs = np.bincount(exp, high, _EXP_BUCKETS)
+        lows = np.bincount(exp, mant, _EXP_BUCKETS)
+        for k in np.flatnonzero(highs).tolist():
+            self._total += int(highs[k]) << (k + 27)
+        for k in np.flatnonzero(lows).tolist():
+            self._total += int(lows[k] * 2.0**27) << k
 
     def value(self) -> float:
-        self._flush()
         return self._total / (1 << (53 - _EXP_MIN))
 
 
@@ -359,12 +349,17 @@ def _chan_merge(a, b):
 def _mc_mean(block_values, samples: int, root):
     """(mean, stderr) of ``samples`` values drawn in fixed-size blocks.
 
-    Block k holds samples k*_MC_BLOCK onwards (the last one may be short)
-    and draws them by ``block_values(stream, count)`` from its own stream
+    ``samples`` must be an integer >= 2 (for a standard error) and the root
+    seed an integer >= 0; DomainError otherwise.  Block k holds samples
+    k*_MC_BLOCK onwards (the last one may be short) and draws them by
+    ``block_values(stream, count)`` from its own stream
     ``_block_rng(root, k)``.  Blocks run one after another on the calling
     thread and their moments are merged in block order, so memory is
     O(block) whatever the sample count.
     """
+    samples = check_order(samples, 2, "samples")
+    root = check_order(root, 0, "seed")
+
     def run(k):
         count = min(_MC_BLOCK, samples - k * _MC_BLOCK)
         return _block_moments(block_values(_block_rng(root, k), count))
@@ -380,17 +375,16 @@ def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
     Centers are drawn uniformly and radii with density sin(r)/2 on [0, pi]
     (inverse CDF r = arccos(1 - 2u)); the factor 2 restores the canonical
     measure's total mass.  Ball membership uses the strict inequality
-    theta < r.  Deterministic for a fixed seed.  Blocks run on the calling
+    theta < r.  Deterministic for a fixed seed.  ``samples`` must be an
+    integer >= 2 and ``seed`` an integer >= 0.  Blocks run on the calling
     thread; BLAS uses the cores for each block's matrix product.
     ``workers`` has no effect and is accepted, if >= 1, for compatibility.
     """
     if not isinstance(pts, PointSet):
         raise DomainError("the Monte Carlo route requires an explicit point set")
     X = _point_array(space, pts)
-    if samples < 2:
-        raise DomainError("need at least 2 samples for a standard error")
-    if workers < 1:
-        raise DomainError("workers must be >= 1")
+    if not workers >= 1:  # written so that a NaN fails the check
+        raise DomainError(f"workers must be >= 1, got {workers}")
     n = len(pts)
     E = _embedding(space, X)  # once, not per block
 
@@ -401,7 +395,7 @@ def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
         dev = np.count_nonzero(cosd > np.cos(r), axis=0) - n * ball_volume(space, r)
         return 2.0 * dev * dev
 
-    value, stderr = _mc_mean(block_values, int(samples), seed)
+    value, stderr = _mc_mean(block_values, samples, seed)
     return McEstimate(value, stderr, int(samples), int(seed))
 
 
@@ -413,12 +407,12 @@ def symdiff_direct(space: SpaceSpec, x, y, measure: RadiusMeasure = None,
 
     Independent of the zonal expansion; serves as its stochastic oracle.
     Samples are drawn in the blocks of ``discrepancy_mc``, keyed by ``seed``,
-    or by a root drawn from ``rng`` when one is given.
+    or by a root drawn from ``rng`` when one is given; the estimate reports
+    that root as its seed.  ``mc_samples`` and the root are checked as
+    there.  ``x`` and ``y`` are Points of ``space`` or their coordinates.
     """
     if measure is None:
         measure = RadiusMeasure.canonical()
-    if mc_samples < 2:
-        raise DomainError("need at least 2 samples for a standard error")
     root = seed if rng is None else int(rng.integers(2**63))
     xd = _as_data(space, x)
     yd = _as_data(space, y)
@@ -434,14 +428,14 @@ def symdiff_direct(space: SpaceSpec, x, y, measure: RadiusMeasure = None,
         cos_far = cos_geodesic_matrix(space, pair, z).min(axis=0)
         return (cos_far[:, None] > cos_r) @ r_weights
 
-    mean, stderr = _mc_mean(block_values, int(mc_samples), root)
-    return McEstimate(const - mean, stderr, int(mc_samples), int(seed))
+    mean, stderr = _mc_mean(block_values, mc_samples, root)
+    return McEstimate(const - mean, stderr, int(mc_samples), int(root))
 
 
 def lp_symdiff(space: SpaceSpec, theta, measure: RadiusMeasure = None,
                p: float = 1.0, tol: float = 1e-8):
     """The L_p version of the symmetric-difference metric: its p-th root."""
-    if p < 1:
+    if not p >= 1:  # written so that a NaN fails the check
         raise DomainError(f"p must be >= 1, got {p}")
     base = symdiff_series(space, theta, measure, tol)
     return base ** (1.0 / p)

@@ -205,6 +205,7 @@ def coeff_tail(space: SpaceSpec, l):
 def expansion_coeffs(space: SpaceSpec, measure: RadiusMeasure = RadiusMeasure.canonical(),
                      L: int = SERIES_CAP) -> ExpansionCoeffs:
     """Build (and cache) the coefficient table for a space and radius measure."""
+    L = check_order(L, 1, "L")
     ls = np.arange(1, L + 1, dtype=float)
     m_l = _level_weight(space, ls)
     c_l = np.exp(_log_chordal_coeff(space, ls))

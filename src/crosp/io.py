@@ -111,12 +111,19 @@ def save_pointset(path, pts: PointSet):
 
 def load_pointset(path) -> PointSet:
     with open(path, encoding="utf-8") as fh:
-        return pointset_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # also a file that is not UTF-8
+            raise DomainError(f"{path} is not a JSON document: {exc}") from None
+    return pointset_from_dict(doc)
 
 
 def load_distance_matrix(path) -> np.ndarray:
     """N x N geodesic distance matrix (radians) from CSV."""
-    dm = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    try:
+        dm = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    except ValueError as exc:  # a non-numeric or ragged row
+        raise DomainError(f"malformed distance-matrix CSV {path}: {exc}") from None
     if dm.shape[0] != dm.shape[1]:
         raise DomainError(f"distance matrix must be square, got {dm.shape}")
     return dm

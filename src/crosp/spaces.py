@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebra
 from .errors import ConsistencyError, DomainError, UnsupportedSpaceError
-from .specfun import _inc_beta, beta, reg_inc_beta
+from .specfun import _inc_beta, beta, check_order, reg_inc_beta
 
 __all__ = [
     "Family",
@@ -83,7 +83,8 @@ def make_space(family, n: int) -> SpaceSpec:
             family = Family(family.lower())
         except ValueError:
             raise UnsupportedSpaceError(f"unknown family {family!r}") from None
-    if n < 1 or n != int(n):
+    # written so that NaN and inf fail the check, with no int() of them
+    if not (n >= 1 and float(n).is_integer()):
         raise UnsupportedSpaceError(f"projective dimension must be a positive integer, got {n}")
     n = int(n)
     if family is Family.SPHERE:
@@ -174,14 +175,7 @@ class PointSet:
 
     @classmethod
     def from_points(cls, space: SpaceSpec, pts, label: str = "") -> "PointSet":
-        rows = []
-        for p in pts:
-            if isinstance(p, Point):
-                if p.space != space:
-                    raise DomainError("mixed spaces in point set")
-                rows.append(p.data)
-            else:
-                rows.append(Point(space, np.asarray(p, float)).data)
+        rows = [_as_data(space, p) for p in pts]
         if not rows:
             return cls(space, np.zeros((0,) + _point_shape(space)), label)
         return cls(space, np.stack(rows), label)
@@ -307,16 +301,13 @@ def _oct_mat_mul(A, B):
     return np.sum(algebra.cd_mul(A[..., :, :, None, :], B[..., None, :, :, :]), axis=-3)
 
 
-def _check_same_space(space, *pts):
-    for p in pts:
-        if isinstance(p, Point) and p.space != space:
-            raise DomainError(f"point belongs to {p.space}, expected {space}")
-
-
 def _as_data(space, x):
+    """The data array of a point of ``space``, from a Point or its coordinates."""
     if isinstance(x, Point):
+        if x.space != space:
+            raise DomainError(f"point belongs to {x.space}, expected {space}")
         return x.data
-    return Point(space, np.asarray(x, float)).data
+    return Point(space, x).data
 
 
 def _embedding(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
@@ -398,7 +389,6 @@ def cos_geodesic_pairs(space: SpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.nda
 
 def geodesic(space: SpaceSpec, x, y) -> float:
     """Geodesic distance in [0, pi], normalized so every space has diameter pi."""
-    _check_same_space(space, x, y)
     xd = _as_data(space, x)[None]
     yd = _as_data(space, y)[None]
     return float(np.arccos(cos_geodesic_matrix(space, xd, yd)[0, 0]))
@@ -477,17 +467,16 @@ def sample_uniform(space: SpaceSpec, count: int, rng: np.random.Generator,
 
     Gaussian vectors normalized to the unit sphere of R^{d+1} or F^{n+1};
     invariance of the Gaussian law under the isometry group makes the
-    pushforward uniform.  Not available on the octonionic plane.
+    pushforward uniform.  ``count`` must be an integer >= 0.  Not available
+    on the octonionic plane.
     """
-    if count < 0 or count != int(count):
-        raise DomainError(f"count must be a nonnegative integer, got {count}")
+    count = check_order(count, 0, "count")
     if space.family is Family.OCT_PROJ:
         raise UnsupportedSpaceError(
             "uniform sampling on the octonionic projective plane is not supported; "
             "no elementary vector representative exists - use chart_point_oct or "
             "distance-matrix inputs instead"
         )
-    count = int(count)
     shape = _point_shape(space)
     if count == 0:
         return PointSet(space, np.zeros((0,) + shape), label)

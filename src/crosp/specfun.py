@@ -278,11 +278,8 @@ def reg_inc_beta(x, a, b):
     """
     if not (a > 0 and b > 0):
         raise DomainError(f"reg_inc_beta requires positive a, b, got ({a}, {b})")
-    if isinstance(x, np.ndarray):
-        if not np.all((x >= 0) & (x <= 1)):
-            raise DomainError("reg_inc_beta requires x in [0, 1]")
-    elif not 0 <= x <= 1:
-        raise DomainError(f"reg_inc_beta requires x in [0, 1], got {x}")
+    if not np.all((x >= 0) & (x <= 1)):  # written so that a NaN fails the check
+        raise DomainError("reg_inc_beta requires x in [0, 1]")
     out = _inc_beta(x, a, b)
     return out if isinstance(x, np.ndarray) else float(out)
 
@@ -525,7 +522,9 @@ def hyp3f2_unit(params: Hyp3F2Params, mode: str = "float"):
     Terminating series are summed term by term (exactly, in rational
     arithmetic, when ``mode='exact'`` and all parameters are rational).
     Nonterminating series use compensated summation and stop once the next
-    term falls below 1e-16 of the partial sum.
+    term t_k falls below 1e-16 of the partial sum; the terms then decay like
+    k^-(1+s), s = d + e - a - b - c, so the tail t_k (k / s - 1/2) of the
+    integral estimate is added.
     """
     params.validate()
     K = params.terminating_order()
@@ -553,6 +552,7 @@ def hyp3f2_unit(params: Hyp3F2Params, mode: str = "float"):
             if k < K:
                 term = term * (a + k) * (b + k) * (c + k) / ((d + k) * (e + k) * (k + 1))
         return math.fsum(terms)
+    s = d + e - a - b - c
     total = 1.0
     comp = 0.0
     term = 1.0
@@ -566,7 +566,7 @@ def hyp3f2_unit(params: Hyp3F2Params, mode: str = "float"):
         comp = (t - total) - y
         total = t
         if abs(term) < 1e-16 * abs(total):
-            return total
+            return total + term * (k / s - 0.5)
     block = 100_000
     while k < 200_000_000:
         j = np.arange(k, k + block, dtype=float)
@@ -578,7 +578,7 @@ def hyp3f2_unit(params: Hyp3F2Params, mode: str = "float"):
         term = terms[-1]
         k += block
         if abs(term) < 1e-16 * abs(total):
-            return total
+            return total + term * (k / s - 0.5)
     raise DomainError("3F2 series converges too slowly to sum reliably")
 
 

@@ -156,6 +156,13 @@ class TestCli:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mc_route_needs_point_set(self, tmp_path, capsys):
+        dm = tmp_path / "dm.csv"
+        io.save_distance_matrix(dm, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert main(["discrepancy", "--in", str(dm), "--space", "s2", "--route", "mc",
+                     "--no-meta"]) == 3
+        assert "explicit point set" in capsys.readouterr().err
+
     @pytest.mark.parametrize("route", ["closed", "series"])
     def test_nonzero_diagonal_exit_code(self, tmp_path, capsys, route):
         dm = tmp_path / "diag.csv"
@@ -222,6 +229,33 @@ class TestCli:
         pa, pb = json.loads(a.read_text()), json.loads(b.read_text())
         assert pa["config"]["seed"] == pb["config"]["seed"] == 99
         assert pa["points"] == pb["points"]
+
+    @pytest.mark.parametrize("command", [
+        ["gen", "--space", "s2", "--n", "3"],
+        ["discrepancy", "--in", "PTS", "--route", "mc", "--samples", "100"],
+        ["verify", "watson"],
+    ])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, monkeypatch, command):
+        pts = tmp_path / "pts.json"
+        io.save_pointset(pts, sample_uniform(S2, 4, np.random.default_rng(1)))
+        argv = [str(pts) if a == "PTS" else a for a in command] + ["--no-meta"]
+        assert main(argv + ["--seed", "-1"]) == 3
+        assert capsys.readouterr().err.startswith("error: the seed must be")
+        monkeypatch.setenv("CROSP_SEED", "-1")
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: the seed must be")
+
+    @pytest.mark.parametrize("name,content", [
+        ("words.csv", b"0,1\nx,0\n"),
+        ("ragged.csv", b"0,1,2\n1,0\n2,1,0\n"),
+        ("points.json", b"not json\n"),
+        ("latin1.json", b"{\"label\": \"\xe9\"}"),
+    ])
+    def test_malformed_input_file_exit_code(self, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(["energy", "--in", str(path), "--space", "s2", "--no-meta"]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 # Runs CLI commands in one fresh interpreter, in order, and prints for each

@@ -17,16 +17,18 @@ from crosp.discrepancy import (
     pair_sum,
     symdiff_direct,
 )
-from crosp.errors import DomainError
-from crosp.harmonic import avg_symdiff, symdiff_series
+from crosp.errors import DomainError, UnsupportedSpaceError
+from crosp.harmonic import avg_symdiff, expansion_coeffs, symdiff_series
 from crosp.spaces import (
     Point,
     PointSet,
     avg_chordal,
     chart_point_oct,
     cos_geodesic_matrix,
+    embed,
     gamma_const,
     geodesic_matrix,
+    make_space,
     parse_space,
     sample_uniform,
 )
@@ -237,9 +239,8 @@ class TestExactSum:
 
     def test_block_split_and_order_invariant(self, monkeypatch):
         rng = np.random.default_rng(20)
-        # small chunks and an early flush exercise every path of the buckets
+        # small chunks exercise every path of the buckets
         monkeypatch.setattr(discrepancy, "_SUM_CHUNK", 97)
-        monkeypatch.setattr(discrepancy, "_EXACT_ENTRIES", 500)
         for name, values in self.all_cases().items():
             expected = math.fsum(values.tolist())
             for _ in range(3):
@@ -462,6 +463,8 @@ class TestSymdiffDirect:
         c = symdiff_direct(S2, x, y, mc_samples=10_000, rng=np.random.default_rng(36))
         assert a == b
         assert a != c
+        # the reported seed is the root the rng drew, so it reproduces a
+        assert symdiff_direct(S2, x, y, mc_samples=10_000, seed=a.seed) == a
 
 
 class TestLpSymdiff:
@@ -516,3 +519,39 @@ class TestInvarianceResidual:
         with pytest.raises(DomainError):
             invariance_residual(S2, sample_uniform(S2, 3, np.random.default_rng(0)),
                                 route="nope")
+
+
+class TestArgumentChecks:
+    """Each count and seed goes through check_order and each point through
+    _as_data, so a bad one is a DomainError at the boundary, not a numpy
+    error, a silent truncation or a wrong-shaped result."""
+
+    PTS = sample_uniform(S2, 5, np.random.default_rng(60))
+    X = np.array([0.0, 0.0, 1.0])
+    Y = np.array([1.0, 0.0, 0.0])
+    RP2_POINT = Point(parse_space("rp2"), np.array([[1.0], [0.0], [0.0]]))
+    CALLS = {
+        "make_space_nan": lambda c: make_space("s", math.nan),
+        "make_space_inf": lambda c: make_space("s", math.inf),
+        "sample_count_nan": lambda c: sample_uniform(S2, math.nan, np.random.default_rng(0)),
+        "sample_count_inf": lambda c: sample_uniform(S2, math.inf, np.random.default_rng(0)),
+        "mc_samples_nan": lambda c: discrepancy_mc(S2, c.PTS, math.nan),
+        "mc_samples_fraction": lambda c: discrepancy_mc(S2, c.PTS, 2.5),
+        "mc_seed_negative": lambda c: discrepancy_mc(S2, c.PTS, 100, seed=-1),
+        "mc_seed_fraction": lambda c: discrepancy_mc(S2, c.PTS, 100, seed=1.5),
+        "mc_workers_nan": lambda c: discrepancy_mc(S2, c.PTS, 100, workers=math.nan),
+        "symdiff_samples_nan": lambda c: symdiff_direct(S2, c.X, c.Y, mc_samples=math.nan),
+        "symdiff_seed_negative": lambda c: symdiff_direct(S2, c.X, c.Y, seed=-1),
+        "symdiff_foreign_points": lambda c: symdiff_direct(S2, c.RP2_POINT, c.RP2_POINT),
+        "residual_samples_nan": lambda c: invariance_residual(S2, c.PTS, route="mc",
+                                                              samples=math.nan),
+        "embed_foreign_point": lambda c: embed(S2, c.RP2_POINT),
+        "lp_p_nan": lambda c: lp_symdiff(S2, 1.0, p=math.nan),
+        "coeffs_order_nan": lambda c: expansion_coeffs(S2, L=math.nan),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_rejected_with_domain_error(self, name):
+        expected = UnsupportedSpaceError if name.startswith("make_space") else DomainError
+        with pytest.raises(expected):
+            self.CALLS[name](self)

@@ -522,6 +522,14 @@ class TestPointValidation:
         with pytest.raises(DomainError):
             PointSet.from_points(s2, [x3])
 
+    def test_foreign_point_named(self):
+        # from_points takes each point through _as_data, whose error names
+        # the point's own space
+        s2 = parse_space("s2")
+        rp2_point = Point(parse_space("rp2"), np.array([[1.0], [0.0], [0.0]]))
+        with pytest.raises(DomainError, match="belongs to rp2, expected s2"):
+            PointSet.from_points(s2, [np.array([0.0, 0.0, 1.0]), rp2_point])
+
 
 class TestRadiusMeasure:
     def test_canonical_mass(self):

@@ -551,14 +551,14 @@ class TestHyp3F2:
         ("dixon", (3.0, 0.5, 0.25)), ("dixon", (0.7, -0.6, 0.1)),
     ])
     def test_nonterminating_against_mpmath(self, family, abc):
-        # the sum stops once a term is below 1e-16 of it, which leaves a tail
-        # of about k / s such terms (s = d + e - a - b - c, here 2.55 to 5):
-        # measured worst 2.0e-13, at s = 2.55
+        # the sum stops once a term is below 1e-16 of it and adds the tail
+        # estimate t_k (k / s - 1/2) (s = d + e - a - b - c, here 2.55 to 5):
+        # measured worst 1.5e-16
         params, (num, den) = getattr(self, family)(*abc)
         with mpmath.workdps(40):
             exact = mpmath.gammaprod(num, den)
             err = abs(mpmath.mpf(hyp3f2_unit(Hyp3F2Params(*params))) / exact - 1)
-        assert err <= 1e-12
+        assert err <= 1e-15
 
 
 class TestWatson:
@@ -592,9 +592,9 @@ class TestWatson:
         a = b = 0.3
         c = 1.0
         series = hyp3f2_unit(Hyp3F2Params(a, b, c, (a + b + 1) / 2, 2 * c))
-        # direct summation carries a ~1e-9 truncation tail at the 1e-16
-        # term-ratio stopping rule (terms decay like k^{-2.2})
-        assert watson_rhs(a, b, c) == pytest.approx(series, rel=5e-9)
+        # the series adds its tail estimate, which leaves 1.2e-16 against
+        # mpmath (terms decay like k^{-2.2}); watson_rhs is within 3e-15
+        assert watson_rhs(a, b, c) == pytest.approx(series, rel=1e-14)
 
     def test_convergence_condition_enforced(self):
         # terminating instance violating 2c - a - b + 1 > 0: the closed form
