@@ -45,17 +45,20 @@ def _config_dict(args, seed) -> dict:
     return cfg
 
 
-def _emit(args, doc: dict) -> None:
-    if not args.no_meta:
-        doc["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
-        if args.out:
-            doc["meta"]["out"] = args.out
-    text = io.dumps_stable(doc)
+def _write(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, doc: dict) -> None:
+    if not args.no_meta:
+        doc["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
+        if args.out:
+            doc["meta"]["out"] = args.out
+    _write(args, io.dumps_stable(doc))
 
 
 def _load_input(args, space):
@@ -172,12 +175,7 @@ def _cmd_verify(args):
         for r in reports:
             lines.append(f"{r.identity},{r.verdict},{r.max_abs_err:.17g},"
                          f"{r.max_rel_err:.17g},{r.tolerance:.17g}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, "\n".join(lines) + "\n")
     else:
         _emit(args, doc)
     sys.stderr.write(verify.render_reports(reports) + "\n")

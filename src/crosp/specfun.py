@@ -528,30 +528,17 @@ def hyp3f2_unit(params: Hyp3F2Params, mode: str = "float"):
     """
     params.validate()
     K = params.terminating_order()
-    if mode == "exact":
-        if K is None:
-            raise DomainError("exact mode requires a terminating series")
-        a, b, c, d, e = (Fraction(p) for p in
-                         (params.a, params.b, params.c, params.d, params.e))
-        total = Fraction(0)
-        term = Fraction(1)
-        for k in range(K + 1):
-            total += term
-            if k < K:
-                term = term * (a + k) * (b + k) * (c + k) / ((d + k) * (e + k) * (k + 1))
-        return total
-    if mode != "float":
+    if mode not in ("exact", "float"):
         raise DomainError(f"unknown mode {mode!r}")
-    a, b, c, d, e = (float(p) for p in
-                     (params.a, params.b, params.c, params.d, params.e))
+    if mode == "exact" and K is None:
+        raise DomainError("exact mode requires a terminating series")
+    num = Fraction if mode == "exact" else float
+    a, b, c, d, e = (num(p) for p in (params.a, params.b, params.c, params.d, params.e))
     if K is not None:
-        terms = []
-        term = 1.0
-        for k in range(K + 1):
-            terms.append(term)
-            if k < K:
-                term = term * (a + k) * (b + k) * (c + k) / ((d + k) * (e + k) * (k + 1))
-        return math.fsum(terms)
+        terms = [num(1)]
+        for k in range(K):
+            terms.append(terms[-1] * (a + k) * (b + k) * (c + k) / ((d + k) * (e + k) * (k + 1)))
+        return sum(terms) if mode == "exact" else math.fsum(terms)
     s = d + e - a - b - c
     total = 1.0
     comp = 0.0

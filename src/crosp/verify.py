@@ -16,7 +16,7 @@ import numpy as np
 
 from . import discrepancy as disc
 from . import harmonic, spaces
-from .errors import CrospError
+from .errors import CrospError, DomainError
 from .spaces import RadiusMeasure, SpaceSpec, catalog, make_space
 from .specfun import Hyp3F2Params, beta, hyp3f2_unit, rising, watson_rhs
 
@@ -64,27 +64,34 @@ class VerificationReport:
         }
 
 
-def _finish(identity, grid, abs_errs, rel_errs, tol, notes, failures,
-            rel_gate=True) -> VerificationReport:
+def _finish(identity, grid, abs_errs, rel_errs, tol, notes, failures) -> VerificationReport:
     max_abs = max(abs_errs) if abs_errs else 0.0
     max_rel = max(rel_errs) if rel_errs else 0.0
-    measured = max_rel if rel_gate else max_abs
-    passed = (not failures) and measured <= tol
+    passed = (not failures) and max_rel <= tol
     return VerificationReport(identity, grid, max_abs, max_rel, tol,
                               passed, notes, failures)
 
 
-# the tolerance of the diameter ratio's series at theta = pi in verify_constants
-_DIAMETER_TOL = 1e-10
+# the fixed grids and bounds of the suites
+_GRID_SIZE = 181  # verify_pointwise's angles on [0, pi]
+_POINTWISE_TOL = 1e-8  # its default tolerance, which verify all's series keeps
+_DIAMETER_TOL = 1e-10  # of the series at theta = pi in verify_constants
+_CHAIN_L_MAX = 20
+_SQ_N_MAX = 12
+_SQ_PARAMS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
+_POLY_N_MAX = 8
+_WATSON_N_MAX = 6
+_MC_PAIRS = 20_000  # verify_constants' Monte Carlo pairs
+_TOL_SIGMA = 3.0  # verify_invariance's bound, in standard errors
 
 
-def verify_pointwise(space: SpaceSpec, grid_size: int = 181,
-                     tol: float = 1e-8, series=None) -> VerificationReport:
+def verify_pointwise(space: SpaceSpec, tol: float = _POINTWISE_TOL,
+                     series=None) -> VerificationReport:
     """Chordal metric vs gamma(Q) times the symmetric-difference expansion.
 
     ``series``, when the caller has it, is symdiff_series on the grid.
     """
-    thetas = np.linspace(0.0, math.pi, grid_size)
+    thetas = np.linspace(0.0, math.pi, _GRID_SIZE)
     gam = spaces.gamma_const(space)
     abs_errs, rel_errs, failures = [], [], []
     try:
@@ -97,18 +104,17 @@ def verify_pointwise(space: SpaceSpec, grid_size: int = 181,
         failures.append(f"series evaluation failed: {exc}")
     return _finish(
         "pointwise-metric-identity",
-        f"space={space}, {grid_size} angles on [0, pi]",
+        f"space={space}, {_GRID_SIZE} angles on [0, pi]",
         abs_errs, rel_errs, tol,
         "max |sin(theta/2) - gamma * symdiff(theta)| over the grid",
-        failures, rel_gate=False,
+        failures,
     )
 
 
-def verify_coeff_chain(space: SpaceSpec, l_max: int = 20,
-                       tol: float = 1e-9) -> VerificationReport:
+def verify_coeff_chain(space: SpaceSpec, tol: float = 1e-9) -> VerificationReport:
     """Radial-weight closed form vs quadrature, and the coefficient chain.
 
-    Checks, for 1 <= l <= l_max, that the squared-Jacobi integral with the
+    Checks, for 1 <= l <= 20, that the squared-Jacobi integral with the
     doubled geometric weight matches its Pochhammer closed form, and that
     gamma(Q) l^-2 B(d/2, d0/2)^-1 A_l equals C_l / 2.
     """
@@ -117,7 +123,7 @@ def verify_coeff_chain(space: SpaceSpec, l_max: int = 20,
     inv_b = 1.0 / beta(d / 2, d0 / 2)
     abs_errs, rel_errs, failures = [], [], []
     measure = RadiusMeasure.canonical()
-    for l in range(1, l_max + 1):
+    for l in range(1, _CHAIN_L_MAX + 1):
         try:
             closed = harmonic.jacobi_sq_integral(l - 1, d / 2, d0 / 2, route="closed")
             quad = harmonic.jacobi_sq_integral(l - 1, d / 2, d0 / 2, route="quadrature")
@@ -132,7 +138,7 @@ def verify_coeff_chain(space: SpaceSpec, l_max: int = 20,
             failures.append(f"l={l}: {exc}")
     return _finish(
         "coefficient-chain",
-        f"space={space}, 1 <= l <= {l_max}",
+        f"space={space}, 1 <= l <= {_CHAIN_L_MAX}",
         abs_errs, rel_errs, tol,
         "squared-Jacobi integral closed vs quadrature, and the chain linking "
         "radial weights to chordal coefficients",
@@ -140,13 +146,12 @@ def verify_coeff_chain(space: SpaceSpec, l_max: int = 20,
     )
 
 
-def verify_sq_integral(n_max: int = 12, params=(0.0, 0.25, 0.5, 1.0, 2.0, 4.0),
-                       tol: float = 1e-10) -> VerificationReport:
+def verify_sq_integral(tol: float = 1e-10) -> VerificationReport:
     """Squared-Jacobi integral: Pochhammer closed form vs Gauss quadrature."""
     abs_errs, rel_errs, failures = [], [], []
-    for n in range(n_max + 1):
-        for a in params:
-            for b in params:
+    for n in range(_SQ_N_MAX + 1):
+        for a in _SQ_PARAMS:
+            for b in _SQ_PARAMS:
                 try:
                     closed = harmonic.jacobi_sq_integral(n, a, b, route="closed")
                     quad = harmonic.jacobi_sq_integral(n, a, b, route="quadrature")
@@ -165,7 +170,7 @@ def verify_sq_integral(n_max: int = 12, params=(0.0, 0.25, 0.5, 1.0, 2.0, 4.0),
         failures.append("quadrature route accepted alpha = -1/2")
     return _finish(
         "squared-jacobi-integral",
-        f"n <= {n_max}, alpha, beta in {sorted(set(params))}",
+        f"n <= {_SQ_N_MAX}, alpha, beta in {sorted(set(_SQ_PARAMS))}",
         abs_errs, rel_errs, tol,
         "closed form vs (n+2)-node Gauss rule for the doubled weight; the "
         "quadrature route must reject exponents <= -1/2",
@@ -183,8 +188,7 @@ _RATIONAL_GRID = (
 )
 
 
-def verify_poly_reduction(n_max: int = 8, grid=_RATIONAL_GRID,
-                          use_uncorrected: bool = False) -> VerificationReport:
+def verify_poly_reduction() -> VerificationReport:
     """Alternating by-parts sum vs its closed form, exactly in rationals.
 
     Also cross-checks the float quadrature route against the sum-based
@@ -193,14 +197,14 @@ def verify_poly_reduction(n_max: int = 8, grid=_RATIONAL_GRID,
     """
     failures = []
     abs_errs, rel_errs = [], []
-    for n in range(n_max + 1):
-        for a, b in grid:
+    for n in range(_POLY_N_MAX + 1):
+        for a, b in _RATIONAL_GRID:
             s = harmonic.leibniz_sum(n, a, b)
-            c = harmonic.leibniz_closed(n, a, b, corrected=not use_uncorrected)
+            c = harmonic.leibniz_closed(n, a, b)
             if s != c:
                 failures.append(f"(n,a,b)=({n},{a},{b}): sum {s} != closed {c}")
     # float-level consistency: quadrature integral vs the sum-based formula
-    for n in range(min(n_max, 6) + 1):
+    for n in range(min(_POLY_N_MAX, 6) + 1):
         for a, b in ((0.0, 0.0), (0.5, 0.0), (1.0, 0.5), (2.0, 1.0)):
             quad = harmonic.jacobi_sq_integral(n, a, b, route="quadrature")
             fa, fb = Fraction(a), Fraction(b)
@@ -222,7 +226,7 @@ def verify_poly_reduction(n_max: int = 8, grid=_RATIONAL_GRID,
         failures.append("sum-based integral formula vs quadrature exceeded 1e-10")
     return _finish(
         "alternating-sum-closed-form",
-        f"n <= {n_max}, {len(grid)} generic rational (alpha, beta) pairs",
+        f"n <= {_POLY_N_MAX}, {len(_RATIONAL_GRID)} generic rational (alpha, beta) pairs",
         abs_errs, rel_errs, 1e-10, notes, failures,
     )
 
@@ -236,8 +240,7 @@ _WATSON_PAIRS = (
 )
 
 
-def verify_watson(n_max: int = 6, pairs=_WATSON_PAIRS,
-                  tol: float = 1e-11) -> VerificationReport:
+def verify_watson(tol: float = 1e-11) -> VerificationReport:
     """Terminating 3F2 at unit argument vs the Watson gamma quotient.
 
     Parameters (a, b, c) = (-2n, 2 beta + 1, -alpha - n) on generic
@@ -245,8 +248,8 @@ def verify_watson(n_max: int = 6, pairs=_WATSON_PAIRS,
     grid point inside the validity region of the closed form.
     """
     abs_errs, rel_errs, failures = [], [], []
-    for n in range(n_max + 1):
-        for alpha, beta_ in pairs:
+    for n in range(_WATSON_N_MAX + 1):
+        for alpha, beta_ in _WATSON_PAIRS:
             if alpha + beta_ >= 0:
                 failures.append(f"grid point ({alpha}, {beta_}) violates alpha+beta<0")
                 continue
@@ -261,15 +264,14 @@ def verify_watson(n_max: int = 6, pairs=_WATSON_PAIRS,
                 failures.append(f"(n,alpha,beta)=({n},{alpha},{beta_}): {exc}")
     return _finish(
         "watson-3f2",
-        f"n <= {n_max}, {len(pairs)} generic (alpha, beta) with alpha+beta<0",
+        f"n <= {_WATSON_N_MAX}, {len(_WATSON_PAIRS)} generic (alpha, beta) with alpha+beta<0",
         abs_errs, rel_errs, tol,
         "terminating series summed term-by-term vs the gamma-quotient closed form",
         failures,
     )
 
 
-def verify_constants(space: SpaceSpec, tol: float = 1e-9, with_mc: bool = True,
-                     mc_pairs: int = 20_000, seed: int = 0,
+def verify_constants(space: SpaceSpec, tol: float = 1e-9, seed: int = 0,
                      diameter: float = None) -> VerificationReport:
     """Mean and diameter ratios of the two metrics against gamma(Q).
 
@@ -289,14 +291,14 @@ def verify_constants(space: SpaceSpec, tol: float = 1e-9, with_mc: bool = True,
         abs_errs.append(abs(diam_ratio - gam))
     except CrospError as exc:
         failures.append(str(exc))
-    if with_mc and space.family is not spaces.Family.OCT_PROJ:
+    if space.family is not spaces.Family.OCT_PROJ:
         rng = np.random.default_rng(seed)
-        xs = spaces.sample_uniform(space, mc_pairs, rng).points
-        ys = spaces.sample_uniform(space, mc_pairs, rng).points
+        xs = spaces.sample_uniform(space, _MC_PAIRS, rng).points
+        ys = spaces.sample_uniform(space, _MC_PAIRS, rng).points
         cosd = spaces.cos_geodesic_pairs(space, xs, ys)
         taus = np.sin(np.arccos(cosd) / 2)
         mean = float(taus.mean())
-        sigma = float(taus.std(ddof=1) / math.sqrt(mc_pairs))
+        sigma = float(taus.std(ddof=1) / math.sqrt(_MC_PAIRS))
         diff = abs(mean - spaces.avg_chordal(space))
         notes_extra = (f"; Monte Carlo mean chordal {mean:.6f} vs exact "
                        f"{spaces.avg_chordal(space):.6f} ({diff / sigma:.2f} sigma)")
@@ -315,8 +317,7 @@ def verify_constants(space: SpaceSpec, tol: float = 1e-9, with_mc: bool = True,
 
 
 def verify_invariance(space: SpaceSpec, n_points: int = 100,
-                      samples: int = 200_000, seed: int = 0,
-                      tol_sigma: float = 3.0) -> VerificationReport:
+                      samples: int = 200_000, seed: int = 0) -> VerificationReport:
     """Monte Carlo discrepancy vs the closed form on a random point set."""
     failures = []
     abs_errs, rel_errs = [], []
@@ -328,11 +329,11 @@ def verify_invariance(space: SpaceSpec, n_points: int = 100,
         lam = disc.discrepancy_closed(space, pts)
         diff = abs(est.value - lam)
         abs_errs.append(diff)
-        rel_errs.append(diff / max(tol_sigma * est.stderr, 1e-300))
+        rel_errs.append(diff / max(_TOL_SIGMA * est.stderr, 1e-300))
         notes = (f"closed {lam:.8f}, mc {est.value:.8f} +- {est.stderr:.8f} "
                  f"({diff / est.stderr:.2f} sigma at {samples} samples)")
-        if diff > tol_sigma * est.stderr:
-            failures.append(f"difference exceeds {tol_sigma} standard errors")
+        if diff > _TOL_SIGMA * est.stderr:
+            failures.append(f"difference exceeds {_TOL_SIGMA} standard errors")
     except CrospError as exc:
         failures.append(str(exc))
     return _finish(
@@ -342,7 +343,7 @@ def verify_invariance(space: SpaceSpec, n_points: int = 100,
     )
 
 
-def _grid_and_diameter(space, grid_size=181, tol=1e-8):
+def _grid_and_diameter(space):
     """symdiff_series on verify_pointwise's grid and at pi in one pass.
 
     Each angle keeps the tolerance of its own report (tol / gamma on the
@@ -351,8 +352,8 @@ def _grid_and_diameter(space, grid_size=181, tol=1e-8):
     separate suites.  If the pass fails, (None, None): each report then
     evaluates, and reports, its own series.
     """
-    thetas = np.append(np.linspace(0.0, math.pi, grid_size), math.pi)
-    tols = np.full(thetas.size, tol / spaces.gamma_const(space))
+    thetas = np.append(np.linspace(0.0, math.pi, _GRID_SIZE), math.pi)
+    tols = np.full(thetas.size, _POINTWISE_TOL / spaces.gamma_const(space))
     tols[-1] = _DIAMETER_TOL
     try:
         values = harmonic.symdiff_series(space, thetas, tol=tols)
@@ -361,48 +362,48 @@ def _grid_and_diameter(space, grid_size=181, tol=1e-8):
     return values[:-1], float(values[-1])
 
 
-def _all_suite(seed=0, **_):
-    reports = []
+def _all_suite(seed):
     series = {space: _grid_and_diameter(space) for space in catalog()}
-    for space, (grid, _) in series.items():
-        reports.append(verify_pointwise(space, series=grid))
-    for space in catalog():
-        reports.append(verify_coeff_chain(space))
-    reports.append(verify_sq_integral())
-    reports.append(verify_poly_reduction())
-    reports.append(verify_watson())
-    for space, (_, diameter) in series.items():
-        reports.append(verify_constants(space, seed=seed, diameter=diameter))
-    for space in (make_space("s", 2), make_space("rp", 3)):
-        reports.append(verify_invariance(space, n_points=50, samples=100_000, seed=seed))
+    reports = [verify_pointwise(space, series=grid) for space, (grid, _) in series.items()]
+    for name in ("chain", "integral", "polysum", "watson"):
+        reports += run_suite(name)
+    reports += [verify_constants(space, seed=seed, diameter=diameter)
+                for space, (_, diameter) in series.items()]
+    reports += [verify_invariance(space, n_points=50, samples=100_000, seed=seed)
+                for space in (make_space("s", 2), make_space("rp", 3))]
     return reports
 
 
+# name: (the options the suite takes besides the seed, its reports given the
+# seed and those options).  The verify_* functions are looked up by name at
+# each call, so that a wrapper put on one of them is the one that runs.
 SUITES = {
-    "pointwise": lambda space=None, tol=1e-8, **kw: [
-        verify_pointwise(s, tol=tol) for s in ([space] if space else catalog())
-    ],
-    "chain": lambda space=None, tol=1e-9, **kw: [
-        verify_coeff_chain(s, tol=tol) for s in ([space] if space else catalog())
-    ],
-    "integral": lambda tol=1e-10, **kw: [verify_sq_integral(tol=tol)],
-    "polysum": lambda **kw: [verify_poly_reduction()],
-    "watson": lambda tol=1e-11, **kw: [verify_watson(tol=tol)],
-    "constants": lambda space=None, seed=0, **kw: [
-        verify_constants(s, seed=seed) for s in ([space] if space else catalog())
-    ],
-    "invariance": lambda space=None, seed=0, samples=200_000, **kw: [
-        verify_invariance(s, samples=samples, seed=seed)
-        for s in ([space] if space else [make_space("s", 2)])
-    ],
-    "all": _all_suite,
+    "pointwise": (("space", "tol"), lambda seed, space=None, **opts: [
+        verify_pointwise(s, **opts) for s in ([space] if space else catalog())]),
+    "chain": (("space", "tol"), lambda seed, space=None, **opts: [
+        verify_coeff_chain(s, **opts) for s in ([space] if space else catalog())]),
+    "integral": (("tol",), lambda seed, **opts: [verify_sq_integral(**opts)]),
+    "polysum": ((), lambda seed: [verify_poly_reduction()]),
+    "watson": (("tol",), lambda seed, **opts: [verify_watson(**opts)]),
+    "constants": (("space", "tol"), lambda seed, space=None, **opts: [
+        verify_constants(s, seed=seed, **opts) for s in ([space] if space else catalog())]),
+    "invariance": (("space", "samples"), lambda seed, space=None, **opts: [
+        verify_invariance(s, seed=seed, **opts)
+        for s in ([space] if space else [make_space("s", 2)])]),
+    "all": ((), _all_suite),
 }
 
 
-def run_suite(name: str, **kwargs) -> list[VerificationReport]:
+def run_suite(name: str, seed: int = 0, **options) -> list[VerificationReport]:
+    """The reports of one suite; any option it does not take is a DomainError."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](**kwargs)
+    takes, run = SUITES[name]
+    for key in options:
+        if key not in takes:
+            raise DomainError(f"suite {name!r} takes no {key!r} option; it takes "
+                              f"{', '.join((*takes, 'seed'))}")
+    return run(seed, **options)
 
 
 def render_reports(reports) -> str:

@@ -218,6 +218,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("identity,verdict")
 
+    @pytest.mark.parametrize("suite,flag,value", [
+        ("all", "--tol", "1e-3"), ("all", "--space", "s2"),
+        ("all", "--samples", "5"), ("integral", "--space", "s2"),
+        ("polysum", "--tol", "1e-3"), ("watson", "--samples", "5"),
+        ("invariance", "--tol", "1e-3"), ("pointwise", "--samples", "5"),
+    ])
+    def test_verify_option_the_suite_does_not_take_exit_code(self, capsys, suite, flag, value):
+        assert main(["verify", suite, flag, value, "--no-meta"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_verify_constants_honours_tol(self, capsys):
+        # an unreachable tolerance is checked, not only recorded in config
+        assert main(["verify", "constants", "--space", "s2", "--tol", "1e-30",
+                     "--no-meta"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["reports"][0]["tolerance"] == 1e-30
+        assert doc["all_passed"] is False
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CROSP_SEED", "99")
         a = tmp_path / "a.json"

@@ -2,6 +2,8 @@
 
 import pytest
 
+from crosp import harmonic, verify
+from crosp.errors import DomainError
 from crosp.spaces import catalog, parse_space
 from crosp.verify import (
     render_reports,
@@ -44,10 +46,13 @@ def test_poly_reduction_passes_with_erratum_note(code=None):
     assert "4" in report.notes and "2" in report.notes
 
 
-def test_poly_reduction_fails_against_uncorrected_form():
+def test_poly_reduction_fails_against_uncorrected_form(monkeypatch):
     # meta-test guarding the erratum handling: the closed form without the
     # (1/2)_n factor must be caught
-    report = verify_poly_reduction(use_uncorrected=True)
+    closed = harmonic.leibniz_closed
+    monkeypatch.setattr(harmonic, "leibniz_closed",
+                        lambda n, a, b, corrected=True: closed(n, a, b, corrected=False))
+    report = verify_poly_reduction()
     assert not report.passed
     assert report.failures
 
@@ -58,8 +63,9 @@ def test_watson_passes():
     assert report.max_rel_err <= 1e-11
 
 
-def test_watson_bad_grid_point_recorded_not_raised():
-    report = verify_watson(pairs=((-0.83, -0.37), (0.4, 0.2)))
+def test_watson_bad_grid_point_recorded_not_raised(monkeypatch):
+    monkeypatch.setattr(verify, "_WATSON_PAIRS", ((-0.83, -0.37), (0.4, 0.2)))
+    report = verify_watson()
     assert not report.passed
     assert any("alpha+beta<0" in f for f in report.failures)
 
@@ -88,6 +94,23 @@ def test_run_suite_dispatch():
     assert len(reports) == 1
     with pytest.raises(KeyError):
         run_suite("bogus")
+
+
+@pytest.mark.parametrize("name,option", [
+    ("watson", "space"), ("all", "tol"), ("integral", "space"),
+    ("polysum", "tol"), ("invariance", "tol"), ("chain", "samples"),
+])
+def test_run_suite_rejects_options_it_does_not_take(name, option):
+    # an option a suite would not read is an error, never silently dropped
+    value = {"space": parse_space("s2"), "tol": 1e-3, "samples": 5}[option]
+    with pytest.raises(DomainError, match=f"{name!r} takes no {option!r}"):
+        run_suite(name, **{option: value})
+
+
+def test_constants_suite_honours_tol():
+    (report,) = run_suite("constants", space=parse_space("s2"), tol=1e-30)
+    assert report.tolerance == 1e-30
+    assert not report.passed
 
 
 def test_render_reports_one_line_each():
