@@ -37,10 +37,11 @@ def _resolve_seed(args) -> int:
 
 
 def _config_dict(args, seed) -> dict:
-    # --threads changes nothing, and --out only names where the document
-    # goes, so it is reported under meta
+    # the options the command read: --threads is read by nothing, --out only
+    # names where the document goes (reported under meta), and --no-meta
+    # only drops meta; an option left at None was not read
     cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("func", "threads", "out") and v is not None}
+           if k not in ("func", "threads", "out", "no_meta") and v is not None}
     cfg["seed"] = seed
     return cfg
 
@@ -126,7 +127,17 @@ def _cmd_energy(args):
     return EXIT_OK
 
 
+# the options each route reads, with their defaults
+_ROUTE_OPTIONS = {"closed": {}, "series": {"tol": 1e-8}, "mc": {"samples": 1_000_000}}
+
+
 def _cmd_discrepancy(args):
+    takes = _ROUTE_OPTIONS[args.route]
+    for key in ("samples", "tol"):
+        if getattr(args, key) is None:
+            setattr(args, key, takes.get(key))
+        elif key not in takes:
+            raise CrospError(f"route {args.route!r} takes no --{key}")
     space = spaces.parse_space(args.space) if args.space else None
     space, payload = _load_input(args, space)
     seed = _resolve_seed(args)
@@ -136,8 +147,7 @@ def _cmd_discrepancy(args):
     elif args.route == "series":
         value = disc.discrepancy_series(space, payload, tol=args.tol)
     else:  # "mc"; argparse restricts the choices
-        est = disc.discrepancy_mc(space, payload, args.samples, seed=seed,
-                                  workers=args.threads)
+        est = disc.discrepancy_mc(space, payload, args.samples, seed=seed)
         value, stderr = est.value, est.stderr
     doc = {
         "config": _config_dict(args, seed),
@@ -173,8 +183,8 @@ def _cmd_verify(args):
     if args.format == "csv":
         lines = ["identity,verdict,max_abs_err,max_rel_err,tolerance"]
         for r in reports:
-            lines.append(f"{r.identity},{r.verdict},{r.max_abs_err:.17g},"
-                         f"{r.max_rel_err:.17g},{r.tolerance:.17g}")
+            errs = (r.max_abs_err, r.max_rel_err, r.tolerance)
+            lines.append(",".join([r.identity, r.verdict, *map(io.format_float, errs)]))
         _write(args, "\n".join(lines) + "\n")
     else:
         _emit(args, doc)
@@ -184,7 +194,6 @@ def _cmd_verify(args):
 
 _COMMON_DEFAULTS = {
     "seed": None,
-    "threads": 1,
     "out": None,
     "no_meta": False,
 }
@@ -196,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="RNG seed (falls back to CROSP_SEED, then 0)")
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="accepted for compatibility; has no effect (Monte Carlo "
-                             "blocks run on the calling thread)")
+                        help="accepted for compatibility and read by nothing (Monte "
+                             "Carlo blocks run on the calling thread)")
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write output to this path")
     common.add_argument("--no-meta", action="store_true", default=argparse.SUPPRESS,
@@ -238,8 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--space", default=None)
     p.add_argument("--route", choices=("closed", "series", "mc"), default="closed")
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--samples", type=int, default=None,
+                   help="Monte Carlo samples, --route mc only [1000000]")
+    p.add_argument("--tol", type=float, default=None,
+                   help="series tolerance, --route series only [1e-8]")
     p.set_defaults(func=_cmd_discrepancy)
 
     p = sub.add_parser("verify", parents=[common],

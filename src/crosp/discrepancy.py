@@ -369,7 +369,7 @@ def _mc_mean(block_values, samples: int, root):
 
 
 def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
-                   seed: int = 0, workers: int = 1) -> McEstimate:
+                   seed: int = 0) -> McEstimate:
     """Unbiased Monte Carlo estimate of the ball quadratic discrepancy.
 
     Centers are drawn uniformly and radii with density sin(r)/2 on [0, pi]
@@ -378,13 +378,10 @@ def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
     theta < r.  Deterministic for a fixed seed.  ``samples`` must be an
     integer >= 2 and ``seed`` an integer >= 0.  Blocks run on the calling
     thread; BLAS uses the cores for each block's matrix product.
-    ``workers`` has no effect and is accepted, if >= 1, for compatibility.
     """
     if not isinstance(pts, PointSet):
         raise DomainError("the Monte Carlo route requires an explicit point set")
     X = _point_array(space, pts)
-    if not workers >= 1:  # written so that a NaN fails the check
-        raise DomainError(f"workers must be >= 1, got {workers}")
     n = len(pts)
     E = _embedding(space, X)  # once, not per block
 
@@ -443,14 +440,13 @@ def lp_symdiff(space: SpaceSpec, theta, measure: RadiusMeasure = None,
 
 def invariance_residual(space: SpaceSpec, pts, route: str = "closed",
                         measure: RadiusMeasure = None, tol: float = 1e-8,
-                        samples: int = 100_000, seed: int = 0, workers: int = 1):
+                        samples: int = 100_000, seed: int = 0):
     """Residual gamma * lambda + tau[D] - <tau> N^2 of the invariance principle.
 
     The closed route vanishes to rounding by construction (regression guard);
     the series and Monte Carlo routes are genuine checks.  The Monte Carlo
     route returns an McEstimate whose stderr is scaled by gamma.  On every
-    route tau[D] is the exactly rounded chordal ``pair_sum``.  ``workers``
-    is passed to ``discrepancy_mc``, where it has no effect.
+    route tau[D] is the exactly rounded chordal ``pair_sum``.
     """
     if route not in ("closed", "series", "mc"):
         raise DomainError(f"unknown route {route!r}")
@@ -458,7 +454,7 @@ def invariance_residual(space: SpaceSpec, pts, route: str = "closed",
     n, tau_sum = _count_and_pair_sum(space, pts)
     target = avg_chordal(space) * n**2
     if route == "mc":
-        est = discrepancy_mc(space, pts, samples, seed=seed, workers=workers)
+        est = discrepancy_mc(space, pts, samples, seed=seed)
         return McEstimate(gam * est.value + tau_sum - target,
                           gam * est.stderr, est.samples, est.seed)
     if route == "closed":

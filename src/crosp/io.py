@@ -1,13 +1,13 @@
 """File formats: point-set JSON, distance-matrix CSV, and result documents.
 
-All floating-point output is printed with 17 significant digits so repeated
-runs diff cleanly and values round-trip exactly.
+Every float is written as Python's shortest round-trip ``repr``, by the
+standard ``json`` writer in result documents and by ``format_float`` in CSV,
+so repeated runs diff cleanly and every value reads back bit for bit.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .spaces import Family, PointSet, _point_shape, make_space
 
 __all__ = [
     "dumps_stable",
+    "format_float",
     "pointset_to_dict",
     "pointset_from_dict",
     "save_pointset",
@@ -25,60 +26,34 @@ __all__ = [
 ]
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise DomainError(f"cannot serialize non-finite value {x}")
-    return format(float(x), ".17g")
+def format_float(x) -> str:
+    """The shortest text that reads back as the float ``x``."""
+    return repr(float(x))
 
 
-def _emit(obj, parts, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            parts.append(pad_in + json.dumps(str(k)) + ": ")
-            _emit(v, parts, indent, level + 1)
-            parts.append(",\n" if i + 1 < len(obj) else "\n")
-        parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for i, v in enumerate(items):
-            parts.append(pad_in)
-            _emit(v, parts, indent, level + 1)
-            parts.append(",\n" if i + 1 < len(items) else "\n")
-        parts.append(pad + "]")
-    elif isinstance(obj, (bool, np.bool_)) or obj is None:
-        parts.append(json.dumps(bool(obj) if obj is not None else None))
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_fmt_float(obj))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    else:
-        raise DomainError(f"cannot serialize object of type {type(obj)!r}")
+def _plain(obj):
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"object of type {type(obj).__name__} is not supported")
 
 
-def dumps_stable(obj, indent: int = 2) -> str:
-    """Deterministic JSON text with 17-significant-digit floats."""
-    parts = []
-    _emit(obj, parts, indent, 0)
-    parts.append("\n")
-    return "".join(parts)
+def dumps_stable(obj) -> str:
+    """Deterministic JSON text, indented by 2, with round-trip floats.
+
+    numpy scalars and arrays are written as their Python values.  A NaN or
+    an infinity anywhere in ``obj``, or a value of any other type, is a
+    DomainError.
+    """
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False, default=_plain) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"cannot serialize: {exc}") from None
 
 
 def pointset_to_dict(pts: PointSet) -> dict:
     return {
         "space": {"family": pts.space.family.value, "n": pts.space.n},
-        "points": [list(map(float, row.reshape(-1))) for row in pts.points],
+        "points": [row.ravel().tolist() for row in pts.points],
         "label": pts.label,
     }
 
@@ -131,6 +106,8 @@ def load_distance_matrix(path) -> np.ndarray:
 
 def save_distance_matrix(path, dm: np.ndarray):
     dm = np.asarray(dm, dtype=float)
+    if not np.isfinite(dm).all():
+        raise DomainError("cannot serialize a non-finite distance")
     with open(path, "w", encoding="utf-8") as fh:
-        for row in dm:
-            fh.write(",".join(_fmt_float(x) for x in row) + "\n")
+        for row in dm.tolist():
+            fh.write(",".join(map(format_float, row)) + "\n")

@@ -5,9 +5,10 @@ rules, and generalized hypergeometric series at unit argument together with
 Watson's closed form.  Everything here is pure and re-entrant.
 
 Gamma-function ratios at large arguments (``_lgamma_diff``), the incomplete
-beta on 1/2 N and Gauss-Jacobi rules are computed here with numpy.  scipy is
-imported only by ``reg_inc_beta``, and only for an (a, b) outside 1/2 N or
-above _HALF_INTEGER_MAX; no catalog space reaches it.
+beta on 1/2 N and Gauss-Jacobi rules are computed here with numpy.  scipy, an
+optional extra (``crosp[scipy]``), is imported only by ``reg_inc_beta``, and
+only for an (a, b) outside 1/2 N or above _HALF_INTEGER_MAX; no catalog space
+reaches it.
 """
 
 from __future__ import annotations
@@ -254,8 +255,11 @@ def _inc_beta(x, a, b, y=None):
         return _finite_sum(x, 1.0 - np.asarray(x, dtype=float), a, b)
     if not (a <= _HALF_INTEGER_MAX and b <= _HALF_INTEGER_MAX
             and _is_half_integer(a) and _is_half_integer(b)):
-        from scipy.special import betainc
-
+        try:
+            from scipy.special import betainc
+        except ImportError:
+            raise DomainError(f"the incomplete beta at (a, b) = ({a}, {b}) needs scipy; "
+                              "install crosp[scipy]") from None
         return betainc(a, b, x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ys = 1.0 - xs if y is None else np.atleast_1d(np.asarray(y, dtype=float))
@@ -274,7 +278,7 @@ def reg_inc_beta(x, a, b):
     I_x(a, b) = x^a sum_{j<b} (a)_j / j! (1 - x)^j of positive terms, by
     Horner's rule in 1 - x.  Other a and b in 1/2 N (every other ball volume)
     take elementary forms and a power series (``_inc_beta``); any other
-    (a, b) calls scipy's ``betainc``.
+    (a, b) calls scipy's ``betainc``, a DomainError without scipy.
     """
     if not (a > 0 and b > 0):
         raise DomainError(f"reg_inc_beta requires positive a, b, got ({a}, {b})")

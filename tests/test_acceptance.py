@@ -41,8 +41,7 @@ def test_criterion_1_invariance_identity_monte_carlo(code):
     rng = np.random.default_rng(2024)
     pts = sample_uniform(space, 100, rng)
     t0 = time.monotonic()
-    res = invariance_residual(space, pts, route="mc", samples=1_000_000,
-                              seed=2024, workers=1)
+    res = invariance_residual(space, pts, route="mc", samples=1_000_000, seed=2024)
     elapsed = time.monotonic() - t0
     sigmas = abs(res.value) / res.stderr
     assert sigmas <= 3.0, f"{code}: residual {res.value} is {sigmas:.2f} sigma"

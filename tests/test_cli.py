@@ -33,6 +33,31 @@ class TestStableJson:
         with pytest.raises(DomainError):
             io.dumps_stable({"v": float("nan")})
 
+    @pytest.mark.parametrize("x", [5e-324, 1.7976931348623157e308, -0.0, 0.1 + 0.2,
+                                   np.float64(1 / 3), np.float32(0.1)],
+                             ids=["subnormal", "max", "minus_zero", "sum", "f64", "f32"])
+    def test_float_roundtrip_bit_exact(self, x):
+        back = json.loads(io.dumps_stable({"v": x}))["v"]
+        assert type(back) is float
+        assert np.float64(back).tobytes() == np.float64(x).tobytes()
+        assert io.format_float(back) == io.format_float(x) == repr(back)
+
+    def test_numpy_values_become_python_values(self):
+        doc = {"i": np.int64(-7), "b": np.bool_(True), "a": np.array([[1.5, -0.0], [2, 3]])}
+        back = json.loads(io.dumps_stable(doc))
+        assert back == {"i": -7, "b": True, "a": [[1.5, 0.0], [2.0, 3.0]]}
+        assert math.copysign(1.0, back["a"][0][1]) == -1.0
+        # the same layout as plain Python values
+        assert io.dumps_stable(doc) == io.dumps_stable(back)
+
+    @pytest.mark.parametrize("value", [
+        [1.0, [math.inf]], [-math.inf], np.array([0.0, math.nan]),
+        np.float64(math.inf), {1, 2}, object(),
+    ], ids=["nested_inf", "minus_inf", "array_nan", "numpy_inf", "set", "object"])
+    def test_rejects_nonfinite_and_unsupported(self, value):
+        with pytest.raises(DomainError):
+            io.dumps_stable({"v": value})
+
 
 class TestPointSetFormat:
     def test_roundtrip(self, tmp_path):
@@ -238,6 +263,42 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["reports"][0]["tolerance"] == 1e-30
         assert doc["all_passed"] is False
+
+    @pytest.mark.parametrize("command,read", [
+        (["spaces"], {}),
+        (["constants", "--space", "s2"], {"space": "s2"}),
+        (["gen", "--space", "s2", "--n", "4"], {"space": "s2", "n": 4}),
+        (["energy", "--in", "PTS"], {"infile": "PTS", "metric": "chordal"}),
+        (["discrepancy", "--in", "PTS"], {"infile": "PTS", "route": "closed"}),
+        (["discrepancy", "--in", "PTS", "--route", "series"],
+         {"infile": "PTS", "route": "series", "tol": 1e-8}),
+        (["discrepancy", "--in", "PTS", "--route", "mc", "--samples", "2000"],
+         {"infile": "PTS", "route": "mc", "samples": 2000}),
+        (["verify", "watson"], {"suite": "watson", "format": "json"}),
+    ], ids=["spaces", "constants", "gen", "energy", "closed", "series", "mc", "verify"])
+    def test_config_holds_the_options_read(self, tmp_path, capsys, command, read):
+        pts = str(tmp_path / "pts.json")
+        io.save_pointset(pts, sample_uniform(S2, 4, np.random.default_rng(1)))
+        argv = [pts if a == "PTS" else a for a in command]
+        assert main(argv + ["--seed", "3", "--threads", "2", "--no-meta"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        expected = {k: pts if v == "PTS" else v for k, v in read.items()}
+        assert config == {"command": command[0], "seed": 3, **expected}
+
+    @pytest.mark.parametrize("route,flag,value", [
+        ("closed", "--samples", "5"), ("series", "--samples", "5"),
+        ("closed", "--tol", "1e-3"), ("mc", "--tol", "1e-3"),
+    ])
+    def test_option_the_route_does_not_read_exit_code(self, tmp_path, capsys,
+                                                      route, flag, value):
+        pts = tmp_path / "pts.json"
+        io.save_pointset(pts, sample_uniform(S2, 4, np.random.default_rng(1)))
+        assert main(["discrepancy", "--in", str(pts), "--route", route, flag, value,
+                     "--no-meta"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CROSP_SEED", "99")

@@ -3,6 +3,7 @@
 import math
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -358,20 +359,24 @@ class TestMcRoute:
         assert 0.0 < est.value <= 2 * n**2
 
     def test_reproducible_for_seed_and_workers(self):
-        est1 = discrepancy_mc(S2, sample_uniform(S2, 10, np.random.default_rng(1)),
-                              50_000, seed=7, workers=2)
-        est2 = discrepancy_mc(S2, sample_uniform(S2, 10, np.random.default_rng(1)),
-                              50_000, seed=7, workers=2)
-        assert est1 == est2
+        # the estimate depends on the points and the seed alone: two calls
+        # run at once on worker threads share no generator state
+        def run():
+            return discrepancy_mc(S2, sample_uniform(S2, 10, np.random.default_rng(1)),
+                                  50_000, seed=7)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(run) for _ in range(2)]
+            est = [f.result() for f in futures]
+        assert est[0] == est[1] == run()
 
     @pytest.mark.parametrize("space", [S2, HP2], ids=["s2", "hp2"])
-    def test_workers_bit_identical(self, space):
-        # ten blocks, the last one partial; workers is accepted and changes
-        # no bit
+    def test_reproducible_for_seed(self, space):
+        # ten blocks, the last one partial, from a freshly drawn point set
         samples = 9 * discrepancy._MC_BLOCK + 123
-        pts = sample_uniform(space, 10, np.random.default_rng(1))
-        est = [discrepancy_mc(space, pts, samples, seed=7, workers=w) for w in (1, 2, 3)]
-        assert est[0] == est[1] == est[2]
+        est = [discrepancy_mc(space, sample_uniform(space, 10, np.random.default_rng(1)),
+                              samples, seed=7) for _ in range(2)]
+        assert est[0] == est[1]
         assert est[0].samples == samples
 
     def test_blocks_run_on_calling_thread(self, monkeypatch):
@@ -384,13 +389,8 @@ class TestMcRoute:
 
         monkeypatch.setattr(discrepancy, "_block_moments", record)
         pts = sample_uniform(S2, 10, np.random.default_rng(2))
-        discrepancy_mc(S2, pts, 3 * discrepancy._MC_BLOCK + 5, seed=3, workers=2)
+        discrepancy_mc(S2, pts, 3 * discrepancy._MC_BLOCK + 5, seed=3)
         assert threads == [threading.get_ident()] * 4
-
-    def test_workers_below_one_rejected(self):
-        pts = sample_uniform(S2, 10, np.random.default_rng(2))
-        with pytest.raises(DomainError):
-            discrepancy_mc(S2, pts, 1000, workers=0)
 
     def test_merge_matches_two_pass(self, monkeypatch):
         blocks = []
@@ -403,7 +403,7 @@ class TestMcRoute:
         monkeypatch.setattr(discrepancy, "_block_moments", record)
         samples = 5 * discrepancy._MC_BLOCK + 77
         pts = sample_uniform(S2, 20, np.random.default_rng(3))
-        est = discrepancy_mc(S2, pts, samples, seed=11, workers=1)
+        est = discrepancy_mc(S2, pts, samples, seed=11)
         vals = np.concatenate(blocks)
         assert [b.size for b in blocks] == [discrepancy._MC_BLOCK] * 5 + [77]
         assert est.value == pytest.approx(vals.mean(), rel=1e-12)
@@ -539,7 +539,6 @@ class TestArgumentChecks:
         "mc_samples_fraction": lambda c: discrepancy_mc(S2, c.PTS, 2.5),
         "mc_seed_negative": lambda c: discrepancy_mc(S2, c.PTS, 100, seed=-1),
         "mc_seed_fraction": lambda c: discrepancy_mc(S2, c.PTS, 100, seed=1.5),
-        "mc_workers_nan": lambda c: discrepancy_mc(S2, c.PTS, 100, workers=math.nan),
         "symdiff_samples_nan": lambda c: symdiff_direct(S2, c.X, c.Y, mc_samples=math.nan),
         "symdiff_seed_negative": lambda c: symdiff_direct(S2, c.X, c.Y, seed=-1),
         "symdiff_foreign_points": lambda c: symdiff_direct(S2, c.RP2_POINT, c.RP2_POINT),

@@ -124,7 +124,7 @@ def test_series_route_agrees_with_closed_route(seed, n, code):
        label=st.text('a "\\\n\t\x00é∂\U0001d11e', max_size=12),
        code=st.sampled_from(["s1", "s2", "s3", "rp2", "cp2", "hp2", "op2"]))
 def test_point_set_json_round_trip(seed, n, label, code):
-    # 17 significant digits name every double exactly
+    # the shortest round-trip repr names every double exactly
     space, rng = parse_space(code), np.random.default_rng(seed)
     if code == "op2":
         # no uniform sampler: Jordan idempotents from Gaussian chart coordinates

@@ -1,6 +1,7 @@
 """Gamma machinery, Pochhammer symbols, Jacobi polynomials, quadrature, 3F2."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -135,6 +136,15 @@ class TestRegIncBeta:
     def test_domain(self):
         with pytest.raises(DomainError):
             reg_inc_beta(1.2, 1, 1)
+
+    def test_without_scipy_names_the_extra(self, monkeypatch):
+        # (0.7, 0.4) lies outside 1/2 N, the one case that needs betainc;
+        # scipy.special is blocked too, since an imported submodule is found
+        # without its parent
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        with pytest.raises(DomainError, match=r"crosp\[scipy\]"):
+            reg_inc_beta(0.3, 0.7, 0.4)
 
     @pytest.mark.parametrize("x,a,b", [
         (math.nan, 1.0, 1.0),
