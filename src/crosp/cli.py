@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``spaces``, ``constants``, ``gen``, ``energy``, ``discrepancy``,
-``verify``.  Exit codes: 0 success/pass, 1 verification failure, 2 usage
-error, 3 numeric or domain error.
+``verify``.  Each returns the body of its document; ``main`` alone resolves
+the seed, adds ``config`` and ``meta`` and writes every document.  Exit
+codes: 0 success/pass, 1 verification failure (JSON or CSV), 2 usage error,
+3 numeric or domain error.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .specfun import check_order
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
-EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
@@ -46,7 +47,16 @@ def _config_dict(args, seed) -> dict:
     return cfg
 
 
-def _write(args, text: str) -> None:
+def _write(args, doc: dict) -> None:
+    """The document as JSON, or for ``verify --format csv`` its reports' CSV."""
+    if getattr(args, "format", "json") == "csv":
+        lines = ["identity,verdict,max_abs_err,max_rel_err,tolerance"]
+        for r in doc["reports"]:
+            errs = (r["max_abs_err"], r["max_rel_err"], r["tolerance"])
+            lines.append(",".join([r["identity"], r["verdict"], *map(io.format_float, errs)]))
+        text = "\n".join(lines) + "\n"
+    else:
+        text = io.dumps_stable(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -54,16 +64,9 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args, doc: dict) -> None:
-    if not args.no_meta:
-        doc["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
-        if args.out:
-            doc["meta"]["out"] = args.out
-    _write(args, io.dumps_stable(doc))
-
-
-def _load_input(args, space):
+def _load_input(args):
     """Point set or distance matrix from --in; returns (space, payload)."""
+    space = spaces.parse_space(args.space) if args.space else None
     path = args.infile
     if path.endswith(".csv"):
         if space is None:
@@ -75,128 +78,84 @@ def _load_input(args, space):
     return pts.space, pts
 
 
-def _cmd_spaces(args):
-    rows = [
+def _cmd_spaces(args, seed):
+    return {"spaces": [
         {"code": s.code, "family": s.family.value, "n": s.n,
          "d": s.d, "d0": s.d0, "m": s.m}
         for s in spaces.catalog()
-    ]
-    _emit(args, {"config": _config_dict(args, _resolve_seed(args)), "spaces": rows})
-    return EXIT_OK
+    ]}
 
 
-def _cmd_constants(args):
+def _cmd_constants(args, seed):
     space = spaces.parse_space(args.space)
-    doc = {
-        "config": _config_dict(args, _resolve_seed(args)),
+    return {
         "space": space.code,
         "gamma": spaces.gamma_const(space),
         "avg_chordal": spaces.avg_chordal(space),
         "avg_symdiff": harmonic.avg_symdiff(space),
     }
-    _emit(args, doc)
-    return EXIT_OK
 
 
-def _cmd_gen(args):
+def _cmd_gen(args, seed):
     space = spaces.parse_space(args.space)
-    seed = _resolve_seed(args)
-    rng = np.random.default_rng(seed)
-    pts = spaces.sample_uniform(space, args.n, rng,
+    pts = spaces.sample_uniform(space, args.n, np.random.default_rng(seed),
                                 label=args.label or f"{space.code}-uniform-{args.n}")
-    doc = io.pointset_to_dict(pts)
-    doc = {"config": _config_dict(args, seed), **doc}
-    _emit(args, doc)
-    return EXIT_OK
+    return io.pointset_to_dict(pts)
 
 
-def _cmd_energy(args):
-    space = spaces.parse_space(args.space) if args.space else None
-    space, payload = _load_input(args, space)
-    value = disc.pair_sum(space, payload, metric=args.metric)
-    doc = {
-        "config": _config_dict(args, _resolve_seed(args)),
+def _cmd_energy(args, seed):
+    space, payload = _load_input(args)
+    return {
         "quantity": "pair_sum",
         "metric": args.metric,
-        "value": value,
+        "value": disc.pair_sum(space, payload, metric=args.metric),
         "route": "direct",
         "space": space.code,
         "n_points": len(payload),
     }
-    _emit(args, doc)
-    return EXIT_OK
 
 
 # the options each route reads, with their defaults
 _ROUTE_OPTIONS = {"closed": {}, "series": {"tol": 1e-8}, "mc": {"samples": 1_000_000}}
 
 
-def _cmd_discrepancy(args):
+def _cmd_discrepancy(args, seed):
     takes = _ROUTE_OPTIONS[args.route]
     for key in ("samples", "tol"):
         if getattr(args, key) is None:
             setattr(args, key, takes.get(key))
         elif key not in takes:
             raise CrospError(f"route {args.route!r} takes no --{key}")
-    space = spaces.parse_space(args.space) if args.space else None
-    space, payload = _load_input(args, space)
-    seed = _resolve_seed(args)
-    stderr = None
+    space, payload = _load_input(args)
+    mc = {}
     if args.route == "closed":
         value = disc.discrepancy_closed(space, payload)
     elif args.route == "series":
         value = disc.discrepancy_series(space, payload, tol=args.tol)
     else:  # "mc"; argparse restricts the choices
         est = disc.discrepancy_mc(space, payload, args.samples, seed=seed)
-        value, stderr = est.value, est.stderr
-    doc = {
-        "config": _config_dict(args, seed),
+        value, mc = est.value, {"stderr": est.stderr, "samples": args.samples}
+    return {
         "quantity": "ball_discrepancy",
         "value": value,
         "route": args.route,
         "space": space.code,
         "n_points": len(payload),
+        **mc,
     }
-    if stderr is not None:
-        doc["stderr"] = stderr
-        doc["samples"] = args.samples
-    _emit(args, doc)
-    return EXIT_OK
 
 
-def _cmd_verify(args):
-    seed = _resolve_seed(args)
-    kwargs = {"seed": seed}
-    if args.space:
-        kwargs["space"] = spaces.parse_space(args.space)
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    if args.samples is not None:
-        kwargs["samples"] = args.samples
-    reports = verify.run_suite(args.suite, **kwargs)
-    doc = {
-        "config": _config_dict(args, seed),
+def _cmd_verify(args, seed):
+    options = {"space": spaces.parse_space(args.space) if args.space else None,
+               "tol": args.tol, "samples": args.samples}
+    reports = verify.run_suite(args.suite, seed=seed,
+                               **{k: v for k, v in options.items() if v is not None})
+    sys.stderr.write(verify.render_reports(reports) + "\n")
+    return {
         "suite": args.suite,
         "reports": [r.to_dict() for r in reports],
         "all_passed": all(r.passed for r in reports),
     }
-    if args.format == "csv":
-        lines = ["identity,verdict,max_abs_err,max_rel_err,tolerance"]
-        for r in reports:
-            errs = (r.max_abs_err, r.max_rel_err, r.tolerance)
-            lines.append(",".join([r.identity, r.verdict, *map(io.format_float, errs)]))
-        _write(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, doc)
-    sys.stderr.write(verify.render_reports(reports) + "\n")
-    return EXIT_OK if doc["all_passed"] else EXIT_VERIFY_FAIL
-
-
-_COMMON_DEFAULTS = {
-    "seed": None,
-    "out": None,
-    "no_meta": False,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,30 +179,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spaces", help="list the space catalog", parents=[common])
-    p.set_defaults(func=_cmd_spaces)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help, parents=[common])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("constants", parents=[common],
-                       help="print gamma, mean chordal, mean symdiff")
+    command("spaces", _cmd_spaces, "list the space catalog")
+
+    p = command("constants", _cmd_constants, "print gamma, mean chordal, mean symdiff")
     p.add_argument("--space", required=True)
-    p.set_defaults(func=_cmd_constants)
 
-    p = sub.add_parser("gen", parents=[common],
-                       help="generate a uniform point set (JSON)")
+    p = command("gen", _cmd_gen, "generate a uniform point set (JSON)")
     p.add_argument("--space", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--label", default=None)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("energy", parents=[common], help="sum of pairwise distances")
+    p = command("energy", _cmd_energy, "sum of pairwise distances")
     p.add_argument("--in", dest="infile", required=True,
                    help="point-set JSON or distance-matrix CSV")
     p.add_argument("--space", default=None, help="required for CSV input")
     p.add_argument("--metric", choices=("chordal", "geodesic"), default="chordal")
-    p.set_defaults(func=_cmd_energy)
 
-    p = sub.add_parser("discrepancy", parents=[common],
-                       help="ball quadratic discrepancy")
+    p = command("discrepancy", _cmd_discrepancy, "ball quadratic discrepancy")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--space", default=None)
     p.add_argument("--route", choices=("closed", "series", "mc"), default="closed")
@@ -251,33 +208,34 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo samples, --route mc only [1000000]")
     p.add_argument("--tol", type=float, default=None,
                    help="series tolerance, --route series only [1e-8]")
-    p.set_defaults(func=_cmd_discrepancy)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run an identity-certification suite")
+    p = command("verify", _cmd_verify, "run an identity-certification suite")
     p.add_argument("suite", choices=sorted(verify.SUITES))
     p.add_argument("--space", default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_verify)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    for key, default in _COMMON_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, default)
+    # the global flags' defaults; each flag is taken before or after the subcommand
+    args = build_parser().parse_args(argv, argparse.Namespace(seed=None, out=None,
+                                                               no_meta=False))
     try:
-        return args.func(args)
-    except CrospError as exc:
+        seed = _resolve_seed(args)
+        body = args.func(args, seed)
+        # config after the command, which fills in the defaults it read
+        doc = {"config": _config_dict(args, seed), **body}
+        if not args.no_meta:
+            doc["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
+            if args.out:
+                doc["meta"]["out"] = args.out
+        _write(args, doc)
+    except (CrospError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERIC
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERIC
+    return EXIT_VERIFY_FAIL if doc.get("all_passed") is False else EXIT_OK
 
 
 if __name__ == "__main__":

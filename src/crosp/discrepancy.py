@@ -439,14 +439,15 @@ def lp_symdiff(space: SpaceSpec, theta, measure: RadiusMeasure = None,
 
 
 def invariance_residual(space: SpaceSpec, pts, route: str = "closed",
-                        measure: RadiusMeasure = None, tol: float = 1e-8,
-                        samples: int = 100_000, seed: int = 0):
+                        tol: float = 1e-8, samples: int = 100_000, seed: int = 0):
     """Residual gamma * lambda + tau[D] - <tau> N^2 of the invariance principle.
 
-    The closed route vanishes to rounding by construction (regression guard);
-    the series and Monte Carlo routes are genuine checks.  The Monte Carlo
-    route returns an McEstimate whose stderr is scaled by gamma.  On every
-    route tau[D] is the exactly rounded chordal ``pair_sum``.
+    Every route uses the canonical radius measure, whose constants gamma and
+    <tau> are.  The closed route vanishes to rounding by construction
+    (regression guard); the series and Monte Carlo routes are genuine
+    checks.  The Monte Carlo route returns an McEstimate whose stderr is
+    scaled by gamma.  On every route tau[D] is the exactly rounded chordal
+    ``pair_sum``.
     """
     if route not in ("closed", "series", "mc"):
         raise DomainError(f"unknown route {route!r}")
@@ -460,5 +461,5 @@ def invariance_residual(space: SpaceSpec, pts, route: str = "closed",
     if route == "closed":
         lam = _closed_from_sum(space, n, tau_sum)
     else:
-        lam = discrepancy_series(space, pts, measure, tol)
+        lam = discrepancy_series(space, pts, tol=tol)
     return gam * lam + tau_sum - target

@@ -90,7 +90,7 @@ def zonal_phi(space: SpaceSpec, l: int, theta: float) -> float:
     if l == 0:
         return 1.0
     a, b = _jacobi_params(space)
-    val = jacobi_eval(l, a, b, math.cos(theta)) / jacobi_at_one(l, a, b)
+    val = jacobi_eval(l, a, b, math.cos(theta)) / jacobi_at_one(l, a)
     return min(1.0, max(-1.0, val))
 
 

@@ -420,12 +420,11 @@ def jacobi_eval(n, alpha, beta_, t):
     return float(_jacobi_row(n, alpha, beta_, np.array([t], dtype=float))[0])
 
 
-def jacobi_at_one(n, alpha, beta_=None):
-    """P_n^{(alpha, beta)}(1) = Gamma(alpha+n+1) / (Gamma(n+1) Gamma(alpha+1))."""
+def jacobi_at_one(n, alpha):
+    """P_n^{(alpha, beta)}(1) = Gamma(alpha+n+1) / (Gamma(n+1) Gamma(alpha+1)), any beta."""
     n = check_order(n, 0, "jacobi_at_one: n")
     if not alpha + n + 1 > 0:
         raise DomainError(f"jacobi_at_one requires alpha + n + 1 > 0, got alpha={alpha}")
-    # independent of beta; the argument is kept for signature symmetry
     if alpha + 1 <= 0:
         # alpha in (-n-1, -1]: use a pole-free product form
         out = 1.0
@@ -525,8 +524,9 @@ def hyp3f2_unit(params: Hyp3F2Params, mode: str = "float"):
 
     Terminating series are summed term by term (exactly, in rational
     arithmetic, when ``mode='exact'`` and all parameters are rational).
-    Nonterminating series use compensated summation and stop once the next
-    term t_k falls below 1e-16 of the partial sum; the terms then decay like
+    Nonterminating series are summed in blocks of 1024 terms, doubling up to
+    10^5, each added to the total with one ``math.fsum``, until a block's
+    last term t_k falls below 1e-16 of the total; the terms then decay like
     k^-(1+s), s = d + e - a - b - c, so the tail t_k (k / s - 1/2) of the
     integral estimate is added.
     """
@@ -544,32 +544,18 @@ def hyp3f2_unit(params: Hyp3F2Params, mode: str = "float"):
             terms.append(terms[-1] * (a + k) * (b + k) * (c + k) / ((d + k) * (e + k) * (k + 1)))
         return sum(terms) if mode == "exact" else math.fsum(terms)
     s = d + e - a - b - c
-    total = 1.0
-    comp = 0.0
-    term = 1.0
-    k = 0
-    # scalar loop first; switch to vectorized blocks if convergence is slow
-    while k < 10_000:
-        term = term * (a + k) * (b + k) * (c + k) / ((d + k) * (e + k) * (k + 1))
-        k += 1
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) < 1e-16 * abs(total):
-            return total + term * (k / s - 0.5)
-    block = 100_000
+    total = term = 1.0
+    k, block = 0, 1024
     while k < 200_000_000:
         j = np.arange(k, k + block, dtype=float)
         ratios = (a + j) * (b + j) * (c + j) / ((d + j) * (e + j) * (j + 1))
         terms = term * np.cumprod(ratios)
-        # comp holds the running excess of the compensated sum
-        total = math.fsum([total, -comp, math.fsum(terms)])
-        comp = 0.0
+        total = math.fsum(np.append(terms, total))
         term = terms[-1]
         k += block
         if abs(term) < 1e-16 * abs(total):
             return total + term * (k / s - 0.5)
+        block = min(2 * block, 100_000)
     raise DomainError("3F2 series converges too slowly to sum reliably")
 
 

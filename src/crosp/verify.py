@@ -2,13 +2,15 @@
 
 Each suite sweeps a parameter grid, compares two independent evaluation
 routes, and reports the worst absolute and relative errors against a fixed
-tolerance.  A failing sub-check never aborts a suite; failures aggregate
-into the verdict.
+tolerance.  Every comparison and every failure goes into one tally, and the
+report comes from that tally.  A failing sub-check never aborts a suite;
+failures aggregate into the verdict.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -64,12 +66,34 @@ class VerificationReport:
         }
 
 
-def _finish(identity, grid, abs_errs, rel_errs, tol, notes, failures) -> VerificationReport:
-    max_abs = max(abs_errs) if abs_errs else 0.0
-    max_rel = max(rel_errs) if rel_errs else 0.0
-    passed = (not failures) and max_rel <= tol
-    return VerificationReport(identity, grid, max_abs, max_rel, tol,
-                              passed, notes, failures)
+class _Tally:
+    """The errors and failures of one suite, in the order they were recorded."""
+
+    def __init__(self):
+        self.abs_errs, self.rel_errs, self.failures = [], [], []
+
+    def compare(self, got, want, scale=None):
+        """Record |got - want| and its ratio to scale (default |want|); return the first."""
+        err = abs(float(got) - float(want))
+        self.abs_errs.append(err)
+        self.rel_errs.append(err / (abs(want) if scale is None else scale))
+        return err
+
+    @contextmanager
+    def item(self, label):
+        """A CrospError inside becomes a failure: label, then the message."""
+        try:
+            yield
+        except CrospError as exc:
+            self.failures.append(f"{label}{exc}")
+
+    def report(self, identity, grid, tol, notes) -> VerificationReport:
+        """Passed when nothing failed and the worst relative error is <= tol."""
+        max_abs = max(self.abs_errs) if self.abs_errs else 0.0
+        max_rel = max(self.rel_errs) if self.rel_errs else 0.0
+        passed = (not self.failures) and max_rel <= tol
+        return VerificationReport(identity, grid, max_abs, max_rel, tol,
+                                  passed, notes, self.failures)
 
 
 # the fixed grids and bounds of the suites
@@ -93,21 +117,17 @@ def verify_pointwise(space: SpaceSpec, tol: float = _POINTWISE_TOL,
     """
     thetas = np.linspace(0.0, math.pi, _GRID_SIZE)
     gam = spaces.gamma_const(space)
-    abs_errs, rel_errs, failures = [], [], []
-    try:
+    tally = _Tally()
+    with tally.item("series evaluation failed: "):
         if series is None:
             series = harmonic.symdiff_series(space, thetas, tol=tol / gam)
-        errs = np.abs(np.sin(thetas / 2) - gam * series)
-        abs_errs = [float(e) for e in errs]
-        rel_errs = abs_errs  # both metrics are normalized to diameter 1
-    except CrospError as exc:
-        failures.append(f"series evaluation failed: {exc}")
-    return _finish(
+        # both metrics are normalized to diameter 1
+        for got, want in zip(gam * series, np.sin(thetas / 2)):
+            tally.compare(got, want, scale=1.0)
+    return tally.report(
         "pointwise-metric-identity",
-        f"space={space}, {_GRID_SIZE} angles on [0, pi]",
-        abs_errs, rel_errs, tol,
+        f"space={space}, {_GRID_SIZE} angles on [0, pi]", tol,
         "max |sin(theta/2) - gamma * symdiff(theta)| over the grid",
-        failures,
     )
 
 
@@ -121,60 +141,44 @@ def verify_coeff_chain(space: SpaceSpec, tol: float = 1e-9) -> VerificationRepor
     d, d0 = space.d, space.d0
     gam = spaces.gamma_const(space)
     inv_b = 1.0 / beta(d / 2, d0 / 2)
-    abs_errs, rel_errs, failures = [], [], []
+    tally = _Tally()
     measure = RadiusMeasure.canonical()
     for l in range(1, _CHAIN_L_MAX + 1):
-        try:
+        with tally.item(f"l={l}: "):
             closed = harmonic.jacobi_sq_integral(l - 1, d / 2, d0 / 2, route="closed")
             quad = harmonic.jacobi_sq_integral(l - 1, d / 2, d0 / 2, route="quadrature")
-            rel_errs.append(abs(closed - quad) / abs(closed))
-            abs_errs.append(abs(closed - quad))
+            tally.compare(quad, closed)
             a_l = harmonic.radial_weight(space, l, measure)
-            lhs = gam * a_l * inv_b / l**2
-            rhs = harmonic.chordal_coeff(space, l) / 2
-            rel_errs.append(abs(lhs - rhs) / abs(rhs))
-            abs_errs.append(abs(lhs - rhs))
-        except CrospError as exc:
-            failures.append(f"l={l}: {exc}")
-    return _finish(
-        "coefficient-chain",
-        f"space={space}, 1 <= l <= {_CHAIN_L_MAX}",
-        abs_errs, rel_errs, tol,
+            tally.compare(gam * a_l * inv_b / l**2, harmonic.chordal_coeff(space, l) / 2)
+    return tally.report(
+        "coefficient-chain", f"space={space}, 1 <= l <= {_CHAIN_L_MAX}", tol,
         "squared-Jacobi integral closed vs quadrature, and the chain linking "
         "radial weights to chordal coefficients",
-        failures,
     )
 
 
 def verify_sq_integral(tol: float = 1e-10) -> VerificationReport:
     """Squared-Jacobi integral: Pochhammer closed form vs Gauss quadrature."""
-    abs_errs, rel_errs, failures = [], [], []
+    tally = _Tally()
     for n in range(_SQ_N_MAX + 1):
         for a in _SQ_PARAMS:
             for b in _SQ_PARAMS:
-                try:
+                with tally.item(f"(n,a,b)=({n},{a},{b}): "):
                     closed = harmonic.jacobi_sq_integral(n, a, b, route="closed")
                     quad = harmonic.jacobi_sq_integral(n, a, b, route="quadrature")
-                    rel_errs.append(abs(closed - quad) / abs(closed))
-                    abs_errs.append(abs(closed - quad))
-                except CrospError as exc:
-                    failures.append(f"(n,a,b)=({n},{a},{b}): {exc}")
+                    tally.compare(quad, closed)
     # the quadrature route must refuse parameters with a non-integrable weight
-    restriction_ok = True
     try:
         harmonic.jacobi_sq_integral(1, -0.5, 0.0, route="quadrature")
-        restriction_ok = False
     except CrospError:
         pass
-    if not restriction_ok:
-        failures.append("quadrature route accepted alpha = -1/2")
-    return _finish(
+    else:
+        tally.failures.append("quadrature route accepted alpha = -1/2")
+    return tally.report(
         "squared-jacobi-integral",
-        f"n <= {_SQ_N_MAX}, alpha, beta in {sorted(set(_SQ_PARAMS))}",
-        abs_errs, rel_errs, tol,
+        f"n <= {_SQ_N_MAX}, alpha, beta in {sorted(set(_SQ_PARAMS))}", tol,
         "closed form vs (n+2)-node Gauss rule for the doubled weight; the "
         "quadrature route must reject exponents <= -1/2",
-        failures,
     )
 
 
@@ -195,14 +199,13 @@ def verify_poly_reduction() -> VerificationReport:
     integral formula, and demonstrates that the closed form without the
     leading (1/2)_n factor fails at n=1, alpha=beta=0 (2 vs 4).
     """
-    failures = []
-    abs_errs, rel_errs = [], []
+    tally = _Tally()
     for n in range(_POLY_N_MAX + 1):
         for a, b in _RATIONAL_GRID:
             s = harmonic.leibniz_sum(n, a, b)
             c = harmonic.leibniz_closed(n, a, b)
             if s != c:
-                failures.append(f"(n,a,b)=({n},{a},{b}): sum {s} != closed {c}")
+                tally.failures.append(f"(n,a,b)=({n},{a},{b}): sum {s} != closed {c}")
     # float-level consistency: quadrature integral vs the sum-based formula
     for n in range(min(_POLY_N_MAX, 6) + 1):
         for a, b in ((0.0, 0.0), (0.5, 0.0), (1.0, 0.5), (2.0, 1.0)):
@@ -213,8 +216,7 @@ def verify_poly_reduction() -> VerificationReport:
                        * math.exp(math.lgamma(2 * a + 1) + math.lgamma(2 * b + 1)
                                   - math.lgamma(2 * a + 2 * b + 2))
                        * float(ratio))
-            rel_errs.append(abs(quad - via_sum) / abs(via_sum))
-            abs_errs.append(abs(quad - via_sum))
+            tally.compare(quad, via_sum)
     wrong = harmonic.leibniz_closed(1, 0, 0, corrected=False)
     right = harmonic.leibniz_sum(1, 0, 0)
     notes = (
@@ -222,12 +224,12 @@ def verify_poly_reduction() -> VerificationReport:
         f"evaluates to {wrong} at n=1, alpha=beta=0 while the direct sum gives "
         f"{right}, so that variant is rejected as an erratum"
     )
-    if rel_errs and max(rel_errs) > 1e-10:
-        failures.append("sum-based integral formula vs quadrature exceeded 1e-10")
-    return _finish(
+    if tally.rel_errs and max(tally.rel_errs) > 1e-10:
+        tally.failures.append("sum-based integral formula vs quadrature exceeded 1e-10")
+    return tally.report(
         "alternating-sum-closed-form",
         f"n <= {_POLY_N_MAX}, {len(_RATIONAL_GRID)} generic rational (alpha, beta) pairs",
-        abs_errs, rel_errs, 1e-10, notes, failures,
+        1e-10, notes,
     )
 
 
@@ -247,27 +249,22 @@ def verify_watson(tol: float = 1e-11) -> VerificationReport:
     non-integer (alpha, beta) with alpha + beta < 0, which places every
     grid point inside the validity region of the closed form.
     """
-    abs_errs, rel_errs, failures = [], [], []
+    tally = _Tally()
     for n in range(_WATSON_N_MAX + 1):
         for alpha, beta_ in _WATSON_PAIRS:
             if alpha + beta_ >= 0:
-                failures.append(f"grid point ({alpha}, {beta_}) violates alpha+beta<0")
+                tally.failures.append(f"grid point ({alpha}, {beta_}) violates alpha+beta<0")
                 continue
             a, b, c = -2 * n, 2 * beta_ + 1, -alpha - n
-            try:
+            with tally.item(f"(n,alpha,beta)=({n},{alpha},{beta_}): "):
                 series = hyp3f2_unit(
                     Hyp3F2Params(a, b, c, (a + b + 1) / 2, 2 * c), mode="float")
                 closed = watson_rhs(a, b, c)
-                abs_errs.append(abs(series - closed))
-                rel_errs.append(abs(series - closed) / max(abs(closed), 1e-300))
-            except CrospError as exc:
-                failures.append(f"(n,alpha,beta)=({n},{alpha},{beta_}): {exc}")
-    return _finish(
+                tally.compare(series, closed, scale=max(abs(closed), 1e-300))
+    return tally.report(
         "watson-3f2",
         f"n <= {_WATSON_N_MAX}, {len(_WATSON_PAIRS)} generic (alpha, beta) with alpha+beta<0",
-        abs_errs, rel_errs, tol,
-        "terminating series summed term-by-term vs the gamma-quotient closed form",
-        failures,
+        tol, "terminating series summed term-by-term vs the gamma-quotient closed form",
     )
 
 
@@ -278,19 +275,13 @@ def verify_constants(space: SpaceSpec, tol: float = 1e-9, seed: int = 0,
     ``diameter``, when the caller has it, is symdiff_series at pi.
     """
     gam = spaces.gamma_const(space)
-    abs_errs, rel_errs, failures = [], [], []
+    tally = _Tally()
     notes_extra = ""
-    try:
-        ratio = spaces.avg_chordal(space) / harmonic.avg_symdiff(space)
-        rel_errs.append(abs(ratio - gam) / gam)
-        abs_errs.append(abs(ratio - gam))
+    with tally.item(""):
+        tally.compare(spaces.avg_chordal(space) / harmonic.avg_symdiff(space), gam)
         if diameter is None:
             diameter = harmonic.symdiff_series(space, math.pi, tol=_DIAMETER_TOL)
-        diam_ratio = 1.0 / diameter
-        rel_errs.append(abs(diam_ratio - gam) / gam)
-        abs_errs.append(abs(diam_ratio - gam))
-    except CrospError as exc:
-        failures.append(str(exc))
+        tally.compare(1.0 / diameter, gam)
     if space.family is not spaces.Family.OCT_PROJ:
         rng = np.random.default_rng(seed)
         xs = spaces.sample_uniform(space, _MC_PAIRS, rng).points
@@ -303,43 +294,31 @@ def verify_constants(space: SpaceSpec, tol: float = 1e-9, seed: int = 0,
         notes_extra = (f"; Monte Carlo mean chordal {mean:.6f} vs exact "
                        f"{spaces.avg_chordal(space):.6f} ({diff / sigma:.2f} sigma)")
         if diff > 3 * sigma:
-            failures.append(
-                f"Monte Carlo mean chordal off by {diff / sigma:.2f} sigma"
-            )
-    return _finish(
-        "constants-ratio",
-        f"space={space}",
-        abs_errs, rel_errs, tol,
+            tally.failures.append(f"Monte Carlo mean chordal off by {diff / sigma:.2f} sigma")
+    return tally.report(
+        "constants-ratio", f"space={space}", tol,
         "mean ratio and diameter ratio of chordal to symmetric-difference "
         "metrics against gamma(Q)" + notes_extra,
-        failures,
     )
 
 
 def verify_invariance(space: SpaceSpec, n_points: int = 100,
                       samples: int = 200_000, seed: int = 0) -> VerificationReport:
     """Monte Carlo discrepancy vs the closed form on a random point set."""
-    failures = []
-    abs_errs, rel_errs = [], []
+    tally = _Tally()
     notes = ""
-    try:
-        rng = np.random.default_rng(seed)
-        pts = spaces.sample_uniform(space, n_points, rng)
+    with tally.item(""):
+        pts = spaces.sample_uniform(space, n_points, np.random.default_rng(seed))
         est = disc.discrepancy_mc(space, pts, samples, seed=seed + 1)
         lam = disc.discrepancy_closed(space, pts)
-        diff = abs(est.value - lam)
-        abs_errs.append(diff)
-        rel_errs.append(diff / max(_TOL_SIGMA * est.stderr, 1e-300))
+        diff = tally.compare(est.value, lam, scale=max(_TOL_SIGMA * est.stderr, 1e-300))
         notes = (f"closed {lam:.8f}, mc {est.value:.8f} +- {est.stderr:.8f} "
                  f"({diff / est.stderr:.2f} sigma at {samples} samples)")
         if diff > _TOL_SIGMA * est.stderr:
-            failures.append(f"difference exceeds {_TOL_SIGMA} standard errors")
-    except CrospError as exc:
-        failures.append(str(exc))
-    return _finish(
+            tally.failures.append(f"difference exceeds {_TOL_SIGMA} standard errors")
+    return tally.report(
         "invariance-principle",
-        f"space={space}, N={n_points}, samples={samples}, seed={seed}",
-        abs_errs, rel_errs, 1.0, notes, failures,
+        f"space={space}, N={n_points}, samples={samples}, seed={seed}", 1.0, notes,
     )
 
 
@@ -374,22 +353,28 @@ def _all_suite(seed):
     return reports
 
 
+def _per_space(fn_name, seeded=False, default_spaces=catalog):
+    """The runner of a suite with one report per space: --space, or each default."""
+    def run(seed, space=None, **opts):
+        if seeded:
+            opts["seed"] = seed
+        fn = globals()[fn_name]
+        return [fn(s, **opts) for s in ([space] if space else default_spaces())]
+    return run
+
+
 # name: (the options the suite takes besides the seed, its reports given the
 # seed and those options).  The verify_* functions are looked up by name at
 # each call, so that a wrapper put on one of them is the one that runs.
 SUITES = {
-    "pointwise": (("space", "tol"), lambda seed, space=None, **opts: [
-        verify_pointwise(s, **opts) for s in ([space] if space else catalog())]),
-    "chain": (("space", "tol"), lambda seed, space=None, **opts: [
-        verify_coeff_chain(s, **opts) for s in ([space] if space else catalog())]),
+    "pointwise": (("space", "tol"), _per_space("verify_pointwise")),
+    "chain": (("space", "tol"), _per_space("verify_coeff_chain")),
     "integral": (("tol",), lambda seed, **opts: [verify_sq_integral(**opts)]),
     "polysum": ((), lambda seed: [verify_poly_reduction()]),
     "watson": (("tol",), lambda seed, **opts: [verify_watson(**opts)]),
-    "constants": (("space", "tol"), lambda seed, space=None, **opts: [
-        verify_constants(s, seed=seed, **opts) for s in ([space] if space else catalog())]),
-    "invariance": (("space", "samples"), lambda seed, space=None, **opts: [
-        verify_invariance(s, seed=seed, **opts)
-        for s in ([space] if space else [make_space("s", 2)])]),
+    "constants": (("space", "tol"), _per_space("verify_constants", True)),
+    "invariance": (("space", "samples"),
+                   _per_space("verify_invariance", True, lambda: [make_space("s", 2)])),
     "all": ((), _all_suite),
 }
 

@@ -238,6 +238,14 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["all_passed"] is False
 
+    def test_verify_csv_fail_exit_code(self, capsys):
+        # a failing suite exits 1 in either format, and the CSV is all that is written
+        assert main(["verify", "pointwise", "--space", "s1", "--tol", "1e-15",
+                     "--format", "csv", "--no-meta"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "identity,verdict,max_abs_err,max_rel_err,tolerance"
+        assert len(lines) == 2 and lines[1].startswith("pointwise-metric-identity,fail,")
+
     def test_verify_csv_format(self, capsys):
         assert main(["verify", "watson", "--format", "csv", "--no-meta"]) == 0
         out = capsys.readouterr().out

@@ -125,7 +125,7 @@ class TestChordalCoeff:
         den = float(np.dot(rule_den.weights,
                            [jacobi_eval(l, a, b, t) ** 2 for t in rule_den.nodes]))
         coeff_hat = num / den  # Fourier-Jacobi coefficient of sqrt((1-t)/2)
-        expected = -2 * coeff_hat * jacobi_at_one(l, a, b) / level_weight(space, l)
+        expected = -2 * coeff_hat * jacobi_at_one(l, a) / level_weight(space, l)
         assert chordal_coeff(space, l) == pytest.approx(expected, rel=1e-11)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from crosp import harmonic, verify
+from crosp import discrepancy, harmonic, verify
 from crosp.errors import DomainError
 from crosp.spaces import catalog, parse_space
 from crosp.verify import (
@@ -68,6 +68,60 @@ def test_watson_bad_grid_point_recorded_not_raised(monkeypatch):
     report = verify_watson()
     assert not report.passed
     assert any("alpha+beta<0" in f for f in report.failures)
+
+
+def _always(*args, **kwargs):
+    return True
+
+
+# suite: (module, function made to raise, on which call, the suite's options,
+# the label its failure starts with, the comparisons still tallied)
+_FAILURE_CASES = {
+    "pointwise": (harmonic, "symdiff_series", _always, {"space": "s1"},
+                  "series evaluation failed: ", 0),
+    "chain": (harmonic, "jacobi_sq_integral",
+              lambda n, a, b, route="closed": n == 2 and route == "closed",
+              {"space": "s2"}, "l=3: ", 2 * 20 - 2),
+    "integral": (harmonic, "jacobi_sq_integral",
+                 lambda n, a, b, route="closed": (n, a, b, route) == (5, 0.5, 1.0, "quadrature"),
+                 {}, "(n,a,b)=(5,0.5,1.0): ", 13 * 6 * 6 - 1),
+    "watson": (verify, "watson_rhs", lambda a, b, c: a == -4 and b == 2 * -0.37 + 1,
+               {}, "(n,alpha,beta)=(2,-0.83,-0.37): ", 7 * 20 - 1),
+    # the mean ratio is tallied before the diameter's series fails
+    "constants": (harmonic, "symdiff_series", _always, {"space": "s2"}, "", 1),
+    "invariance": (discrepancy, "discrepancy_closed", _always,
+                   {"space": "s2", "samples": 20_000}, "", 0),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_FAILURE_CASES))
+def test_failing_item_recorded_and_the_rest_tallied(monkeypatch, suite):
+    module, name, when, options, label, tallied = _FAILURE_CASES[suite]
+    original = getattr(module, name)
+
+    def failing(*args, **kwargs):
+        if when(*args, **kwargs):
+            raise DomainError("injected")
+        return original(*args, **kwargs)
+
+    compare = verify._Tally.compare
+    compared = []
+
+    def counting(self, *args, **kwargs):
+        compared.append(args)
+        return compare(self, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing)
+    monkeypatch.setattr(verify._Tally, "compare", counting)
+    if "space" in options:
+        options = {**options, "space": parse_space(options["space"])}
+    (report,) = run_suite(suite, seed=3, **options)
+    assert report.verdict == "fail"
+    assert report.failures == [label + "injected"]
+    assert len(compared) == tallied
+    if suite == "constants":
+        # the Monte Carlo check outside the failing item still runs
+        assert "Monte Carlo mean chordal" in report.notes
 
 
 @pytest.mark.parametrize("code", ALL_CODES)
