@@ -66,7 +66,7 @@ def _write(args, doc: dict) -> None:
 
 def _load_input(args):
     """Point set or distance matrix from --in; returns (space, payload)."""
-    space = spaces.parse_space(args.space) if args.space else None
+    space = spaces.parse_space(args.space) if args.space is not None else None
     path = args.infile
     if path.endswith(".csv"):
         if space is None:
@@ -146,7 +146,7 @@ def _cmd_discrepancy(args, seed):
 
 
 def _cmd_verify(args, seed):
-    options = {"space": spaces.parse_space(args.space) if args.space else None,
+    options = {"space": spaces.parse_space(args.space) if args.space is not None else None,
                "tol": args.tol, "samples": args.samples}
     reports = verify.run_suite(args.suite, seed=seed,
                                **{k: v for k, v in options.items() if v is not None})

@@ -24,8 +24,10 @@ from .spaces import (
     RadiusMeasure,
     SpaceSpec,
     _as_data,
+    _cos_affine,
     _cos_from_inner,
     _embedding,
+    _embedding_cols,
     _inner_pairs,
     avg_chordal,
     ball_volume,
@@ -368,6 +370,20 @@ def _mc_mean(block_values, samples: int, root):
     return mean, math.sqrt(m2 / (n - 1) / n)
 
 
+def _count_within(cos_theta, cos_r):
+    """Per column j, the number of rows i with clip(cos_theta[i, j], -1, 1) > cos_r[j].
+
+    ``cos_theta`` holds cosines before the clip of ``_cos_from_inner``, and
+    every cos_r lies in [-1, 1].  For c in [-1, 1), clip(y, -1, 1) > c
+    exactly when y > c, NaN included (both false); for c = 1 the clipped
+    side is never greater, so +inf stands in for it.  A count is at most the
+    number of rows, so it is summed in the smallest unsigned type that holds
+    that number.
+    """
+    inside = cos_theta > np.where(cos_r < 1.0, cos_r, np.inf)
+    return inside.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(len(cos_theta)))
+
+
 def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
                    seed: int = 0) -> McEstimate:
     """Unbiased Monte Carlo estimate of the ball quadratic discrepancy.
@@ -383,13 +399,21 @@ def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
         raise DomainError("the Monte Carlo route requires an explicit point set")
     X = _point_array(space, pts)
     n = len(pts)
-    E = _embedding(space, X)  # once, not per block
+    a, b = _cos_affine(space)
+    # once, not per block; a is 1 or 2, so (a E) @ C is a (E @ C) bit for bit
+    E = a * _embedding(space, X)
 
     def block_values(stream, count):
         centers = sample_uniform(space, count, stream).points
         r = np.arccos(1 - 2 * stream.random(count))
-        cosd = _cos_from_inner(space, E @ _embedding(space, centers).T)  # (n, count)
-        dev = np.count_nonzero(cosd > np.cos(r), axis=0) - n * ball_volume(space, r)
+        # (n, count), unclipped; the centers go in coordinate-major, as they
+        # are built.  An entry may then differ in its last bit from
+        # cos_geodesic_matrix's (see _embedding), which moves a count only
+        # if cos r falls between the two roundings
+        cos_theta = E @ _embedding_cols(space, centers)
+        if b:
+            cos_theta += b
+        dev = _count_within(cos_theta, np.cos(r)) - n * ball_volume(space, r)
         return 2.0 * dev * dev
 
     value, stderr = _mc_mean(block_values, samples, seed)

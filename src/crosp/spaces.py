@@ -8,6 +8,7 @@ constant gamma(Q), the mean chordal distance, and uniform sampling.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -276,20 +277,20 @@ class RadiusMeasure:
         [0, pi]; a point-mass measure is its own rule.
         """
         if self.kind == "sine":
-            return _SINE_RULE
+            return _sine_rule()
         return np.asarray(self.nodes, float), np.asarray(self.weights, float)
 
 
+@functools.cache
 def _sine_rule():
+    """The sine density's read-only rule, built on first use: it imports
+    numpy.polynomial, which no other code path needs."""
     x, w = np.polynomial.legendre.leggauss(64)
     r = (x + 1) * (math.pi / 2)
     rule = (r, (math.pi / 2) * w * np.sin(r))
     for arr in rule:
         arr.setflags(write=False)
     return rule
-
-
-_SINE_RULE = _sine_rule()
 
 
 # ---------------------------------------------------------------------------
@@ -310,42 +311,73 @@ def _as_data(space, x):
     return Point(space, x).data
 
 
-def _embedding(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
-    """Rows embed(x) of a stacked point array, shape (N, m)."""
+def _embedding_cols(space: SpaceSpec, X: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """The embedding of a stacked point array, coordinate-major: shape (m, N).
+
+    Row k holds coordinate k of embed(x) for every point.  Sphere points are
+    their own embedding, so on spheres this is the view X.T.  Otherwise the
+    rows are written into ``out``, by default a new C-contiguous array, in
+    which each row is written in one contiguous pass.
+    """
     if space.family is Family.SPHERE:
-        return X
+        return X.T
+    if out is None:
+        out = np.empty((space.m, len(X)))
     n1 = X.shape[1]
     i, j = np.triu_indices(n1, 1)
     if space.family is Family.OCT_PROJ:
         diag = X[:, np.arange(n1), np.arange(n1), 0]
         upper = X[:, i, j]
         upper = upper.reshape(len(X), math.prod(upper.shape[1:]))  # also for no rows
-        return np.concatenate([diag, math.sqrt(2.0) * upper], axis=1)
+        return np.concatenate([diag.T, math.sqrt(2.0) * upper.T], out=out)
     # |x_i|^2 and x_i conj(x_j): right unit scalars x -> x u cancel.  Each
     # component of each coordinate is one contiguous (N,) array, and every
-    # entry is written straight into its column of E.
+    # entry is written straight into its row of out.
     d0 = space.d0
     comps = np.ascontiguousarray(np.moveaxis(X, 0, 2))  # (n1, d0, N)
-    E = np.empty((len(X), space.m))
     for k, xk in enumerate(comps):
-        np.multiply(xk[0], xk[0], out=E[:, k])
+        np.multiply(xk[0], xk[0], out=out[k])
         for c in xk[1:]:
-            E[:, k] += c * c
+            out[k] += c * c
     for p, (a, b) in enumerate(zip(i, j)):
         prod = algebra.mul_parts(list(comps[a]), algebra.conj_parts(list(comps[b])))
         for c, part in enumerate(prod):
-            np.multiply(part, math.sqrt(2.0), out=E[:, n1 + p * d0 + c])
+            np.multiply(part, math.sqrt(2.0), out=out[n1 + p * d0 + c])
+    return out
+
+
+def _embedding(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
+    """Rows embed(x) of a stacked point array: a C-contiguous (N, m) array.
+
+    The rows of ``_embedding_cols`` are written into its transpose, one
+    strided column at a time.  The products and row sums of the distance
+    kernels take it in this layout: BLAS picks its routine by the operands'
+    layouts, and some of those routines round differently (OpenBLAS's
+    small-matrix kernels, gemv for one row), so the same product of the
+    coordinate-major array can differ in its last bits.
+    """
+    if space.family is Family.SPHERE:
+        return X
+    E = np.empty((len(X), space.m))
+    _embedding_cols(space, X, out=E.T)
     return E
 
 
-def _cos_from_inner(space: SpaceSpec, g: np.ndarray) -> np.ndarray:
-    """cos(theta) = a <E(x), E(y)> + b, clipped to [-1, 1]; overwrites g.
+def _cos_affine(space: SpaceSpec):
+    """(a, b) with cos(theta) = a <E(x), E(y)> + b: (1, 0) on spheres and
+    (2, -1) on projective spaces."""
+    if space.family is Family.SPHERE:
+        return 1.0, 0.0
+    return 2.0, -1.0
 
-    (a, b) = (1, 0) on spheres and (2, -1) on projective spaces.
-    """
-    if space.family is not Family.SPHERE:
-        g *= 2.0
-        g -= 1.0
+
+def _cos_from_inner(space: SpaceSpec, g: np.ndarray) -> np.ndarray:
+    """cos(theta) = a <E(x), E(y)> + b, clipped to [-1, 1]; overwrites g."""
+    a, b = _cos_affine(space)
+    if a != 1.0:
+        g *= a
+    if b:
+        g += b
     return np.clip(g, -1.0, 1.0, out=g)
 
 

@@ -347,6 +347,22 @@ class TestCli:
         assert main(["energy", "--in", str(path), "--space", "s2", "--no-meta"]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", [
+        ["energy", "--in", "PTS"],
+        ["discrepancy", "--in", "PTS"],
+        ["verify", "chain"],
+    ], ids=["energy", "discrepancy", "verify"])
+    def test_empty_space_exit_code(self, tmp_path, capsys, command):
+        # an empty --space is a space code that parses to nothing, not an
+        # option left out
+        pts = tmp_path / "pts.json"
+        io.save_pointset(pts, sample_uniform(S2, 4, np.random.default_rng(1)))
+        argv = [str(pts) if a == "PTS" else a for a in command]
+        assert main(argv + ["--space", "", "--no-meta"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot parse space code ''\n"
+
 
 # Runs CLI commands in one fresh interpreter, in order, and prints for each
 # its exit code and whether any scipy module was loaded once it returned.
@@ -414,6 +430,18 @@ class TestStartup:
         out = self._python("-c", "import sys, crosp, crosp.cli; "
                                  "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         assert out.strip() == "[]"
+
+    def test_sine_rule_built_on_first_use(self):
+        # numpy.polynomial (the Gauss-Legendre nodes) loads with the first
+        # rule() of the sine measure, not with crosp; later calls share it
+        out = self._python("-c", "import sys, crosp.cli; "
+                                 "from crosp.spaces import RadiusMeasure; "
+                                 "before = 'numpy.polynomial' in sys.modules; "
+                                 "a, b = RadiusMeasure.canonical().rule(), RadiusMeasure('sine').rule(); "
+                                 "print(before, 'numpy.polynomial' in sys.modules, "
+                                 "a[0] is b[0] and a[1] is b[1], "
+                                 "a[0].flags.writeable or a[1].flags.writeable)")
+        assert out.split() == ["False", "True", "True", "False"]
 
     def test_commands_load_scipy_only_when_needed(self, tmp_path):
         report = json.loads(self._python("-c", _STARTUP_SCRIPT, str(tmp_path)))

@@ -1,5 +1,6 @@
 """Pair sums, the three discrepancy routes, and invariance residuals."""
 
+import functools
 import math
 import threading
 import tracemalloc
@@ -24,6 +25,7 @@ from crosp.spaces import (
     Point,
     PointSet,
     avg_chordal,
+    ball_volume,
     chart_point_oct,
     cos_geodesic_matrix,
     embed,
@@ -426,6 +428,60 @@ class TestMcRoute:
     def test_requires_point_set(self):
         with pytest.raises(DomainError):
             discrepancy_mc(S2, np.zeros((3, 3)), 1000)
+
+    @pytest.mark.parametrize("code", ["s1", "s2", "s3", "rp2", "rp3", "cp2", "hp2"])
+    def test_equals_estimator_from_public_kernel(self, code):
+        # the blocks count from the unclipped Gram product; rebuilt from the
+        # clipped cos_geodesic_matrix, block by block, the estimate is the same
+        space = parse_space(code)
+        pts = sample_uniform(space, 30, np.random.default_rng(8))
+        block = discrepancy._MC_BLOCK
+        samples, seed = 2 * block + 1001, 9
+        moments = []
+        for k in range(3):
+            stream = discrepancy._block_rng(seed, k)
+            count = min(block, samples - k * block)
+            centers = sample_uniform(space, count, stream).points
+            r = np.arccos(1 - 2 * stream.random(count))
+            cos = cos_geodesic_matrix(space, pts.points, centers)
+            dev = np.count_nonzero(cos > np.cos(r), axis=0) - len(pts) * ball_volume(space, r)
+            moments.append(discrepancy._block_moments(2.0 * dev * dev))
+        n, mean, m2 = functools.reduce(discrepancy._chan_merge, moments)
+        assert n == samples
+        est = discrepancy_mc(space, pts, samples, seed=seed)
+        assert (est.value, est.stderr) == (mean, math.sqrt(m2 / (n - 1) / n))
+
+
+class TestCountWithin:
+    """The block's membership count equals the count of the clipped cosines."""
+
+    @staticmethod
+    def _clipped(cos_theta, cos_r):
+        return np.count_nonzero(np.clip(cos_theta, -1.0, 1.0) > cos_r, axis=0)
+
+    def test_edge_values(self):
+        # cosines rounded above 1 against cos r = 1, cosines below -1, NaN,
+        # and each threshold's neighbours
+        values = np.array([np.nan, -np.inf, -1.5, np.nextafter(-1.0, -2.0), -1.0,
+                           np.nextafter(-1.0, 0.0), 0.0, np.nextafter(1.0, 0.0), 1.0,
+                           np.nextafter(1.0, 2.0), 1.0 + 1e-12, 2.0, np.inf])
+        cos_r = np.array([-1.0, np.nextafter(-1.0, 0.0), 0.0, np.nextafter(1.0, 0.0), 1.0])
+        cos_theta = np.repeat(values[:, None], len(cos_r), axis=1)
+        got = discrepancy._count_within(cos_theta, cos_r)
+        assert got.tolist() == self._clipped(cos_theta, cos_r).tolist()
+        assert got.tolist() == [8, 7, 6, 5, 0]
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 70_000])
+    def test_random_and_wide(self, rows):
+        # counts past 255 and 65535 need a wider sum than a byte or two
+        rng = np.random.default_rng(rows)
+        cos_theta = rng.uniform(-1.2, 1.2, (rows, 6))
+        cos_theta[rng.random(cos_theta.shape) < 0.01] = np.nan
+        cos_theta[:, 0] = 1.5
+        cos_r = np.array([-1.0, -1.0, 1.0, 0.3, np.nextafter(1.0, 0.0), -0.7])
+        got = discrepancy._count_within(cos_theta, cos_r)
+        assert got.tolist() == self._clipped(cos_theta, cos_r).tolist()
+        assert got[0] == rows
 
 
 class TestSymdiffDirect:

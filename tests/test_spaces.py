@@ -246,7 +246,10 @@ class TestEmbeddingBits:
             X = sample_uniform(space, count, np.random.default_rng(count + n)).points
             E, ref = spaces._embedding(space, X), _reference_embedding(X)
             assert E.shape == ref.shape == (count, space.m)
-            assert E.tobytes() == ref.tobytes()
+            assert E.flags.c_contiguous and E.tobytes() == ref.tobytes()
+            # the coordinate-major array the Monte Carlo block multiplies by
+            cols = spaces._embedding_cols(space, X)
+            assert cols.flags.c_contiguous and cols.tobytes() == ref.T.tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2, 4, 8])
     def test_cd_mul_is_doubling_rule(self, dim):
