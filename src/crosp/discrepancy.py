@@ -56,9 +56,8 @@ _MC_BLOCK = 4096
 _PAIR_TILE = 512
 # entries the exact accumulator takes at once: 32K-entry chunks ran at about
 # 9 ns per entry, one 1M-entry block at about 18; the integer limbs of at
-# most 2**20 entries sum in int64 without overflow, and the float exponent
-# buckets of at most 2**26 exactly: below 2**52 in units of 1 (high parts)
-# and below 2**53 in units of 2**-27 (low parts)
+# most 2**20 entries sum in int64 without overflow (|hi| sums below 2**62,
+# lo sums below 2**63)
 _SUM_CHUNK = 32_768
 # largest |theta(x, x)| a distance matrix may carry on its diagonal (radians);
 # geodesic_matrix leaves at most 7e-8 on every catalog space; routes read only i != j
@@ -75,13 +74,12 @@ class McEstimate:
     seed: int
 
 
-# np.frexp writes a finite double as mant * 2**e with 0.5 <= |mant| < 1 and
-# e in [-1073, 1024]; the bucket of a value is e - _EXP_MIN
+# math.frexp writes a finite double as mant * 2**e with 0.5 <= |mant| < 1
+# and e >= -1073; the sum is kept as one integer in units of 2**(_EXP_MIN - 53)
 _EXP_MIN = -1073
-_EXP_BUCKETS = 1024 - _EXP_MIN + 1
-# a chunk whose values all lie in {0} u [2**-30, 4) is summed in two integer
-# limbs, v = hi * 2**-40 + lo * 2**-83 with hi = floor(v * 2**40) < 2**42
-# and lo < 2**43: v >= 2**-30 has no bit below 2**-82, so lo is an integer
+# a value that is 0 or has 2**-30 <= |v| < 4 splits into two integer limbs,
+# v = hi * 2**-40 + lo * 2**-83 with hi = floor(v * 2**40), |hi| <= 2**42, and
+# 0 <= lo < 2**43: |v| >= 2**-30 has no bit below 2**-82, so lo is an integer
 _LIMB_MIN = 2.0**-30
 _LIMB_MAX = 4.0
 _HI_BITS = 40
@@ -91,22 +89,18 @@ _LO_BITS = 43
 class _ExactSum:
     """Exactly rounded sum of finite doubles fed in blocks.
 
-    Each value's mantissa, scaled by 2**26, splits into an integral high
-    part of 26 bits and a fractional low part of 27 bits.  np.bincount sums
-    each part per exponent of one chunk, exactly, and the buckets go at once
-    into one Python integer in units of 2**(_EXP_MIN - 53); ``value`` rounds
-    it once, by a correctly rounded integer division.  The result is the
-    exact sum rounded to nearest, as ``math.fsum`` returns it, whatever the
-    order of the values or the split of the blocks.  This is the
-    small-superaccumulator idea of Neal (arXiv:1505.05571) with numpy's
-    vectorised loops.
+    The sum is one Python integer in units of 2**(_EXP_MIN - 53), and
+    ``value`` rounds it once, by a correctly rounded integer division: the
+    result is the exact sum rounded to nearest, as ``math.fsum`` returns
+    it (but a zero sum is +0.0), whatever the order of the values or the
+    split of the blocks.
 
-    Distances lie in a known range, so most chunks take a cheaper exact
-    path: when every value is 0 or in [2**-30, 4), each splits into two
-    integer limbs whose int64 sums go into the same Python integer, as in
-    the fixed-range accumulators of Demmel & Nguyen, "Parallel reproducible
-    summation" (IEEE TC 2015).  Any other chunk (negative, subnormal, tiny,
-    large or non-finite values) takes the exponent buckets.
+    Distances and series terms lie in a known range, so each value that is
+    0 or has 2**-30 <= |v| < 4 splits into two signed integer limbs whose
+    int64 sums over one chunk go into the integer, as in the fixed-range
+    accumulators of Demmel & Nguyen, "Parallel reproducible summation"
+    (IEEE TC 2015).  Any other value (tiny, subnormal, large) is added on
+    its own from ``math.frexp``, exactly; a NaN or an infinity raises there.
     """
 
     def __init__(self, values=()):
@@ -117,36 +111,21 @@ class _ExactSum:
         flat = np.ravel(values)
         for start in range(0, flat.size, _SUM_CHUNK):
             chunk = flat[start:start + _SUM_CHUNK]
-            # NaN fails max(); below _LIMB_MIN, only zeros may occur
-            if chunk.max() < _LIMB_MAX and (chunk.min() >= _LIMB_MIN or np.count_nonzero(
-                    chunk < _LIMB_MIN) == np.count_nonzero(chunk == 0)):
-                self._add_limbs(chunk)
-            else:
-                self._add_buckets(chunk)
-
-    def _add_limbs(self, chunk) -> None:
-        x = chunk * 2.0**_HI_BITS
-        hi = np.floor(x)
-        x -= hi
-        x *= 2.0**_LO_BITS  # lo, exactly
-        limbs = (int(hi.astype(np.int64).sum()) << _LO_BITS) + int(x.astype(np.int64).sum())
-        # limbs count units of 2**-(_HI_BITS + _LO_BITS)
-        self._total += limbs << (53 - _EXP_MIN - _HI_BITS - _LO_BITS)
-
-    def _add_buckets(self, chunk) -> None:
-        mant, exp = np.frexp(chunk)
-        mant *= 2.0**26
-        high = np.trunc(mant)
-        mant -= high  # the low part
-        exp -= _EXP_MIN
-        # a value is (high + low) * 2**(k + 27) units, k its bucket; a chunk's
-        # bucket sums are exact (see _SUM_CHUNK)
-        highs = np.bincount(exp, high, _EXP_BUCKETS)
-        lows = np.bincount(exp, mant, _EXP_BUCKETS)
-        for k in np.flatnonzero(highs).tolist():
-            self._total += int(highs[k]) << (k + 27)
-        for k in np.flatnonzero(lows).tolist():
-            self._total += int(lows[k] * 2.0**27) << k
+            # NaN fails both compares; the mask is built only when one fails
+            if not (chunk.min() >= _LIMB_MIN and chunk.max() < _LIMB_MAX):
+                size = np.abs(chunk)
+                fits = (size < _LIMB_MAX) & ((size >= _LIMB_MIN) | (size == 0))
+                for v in chunk[~fits].tolist():
+                    mant, exp = math.frexp(v)
+                    self._total += int(mant * 2.0**53) << (exp - _EXP_MIN)
+                chunk = chunk[fits]
+            x = chunk * 2.0**_HI_BITS
+            hi = np.floor(x)
+            x -= hi
+            x *= 2.0**_LO_BITS  # lo, exactly
+            limbs = (int(hi.astype(np.int64).sum()) << _LO_BITS) + int(x.astype(np.int64).sum())
+            # limbs count units of 2**-(_HI_BITS + _LO_BITS)
+            self._total += limbs << (53 - _EXP_MIN - _HI_BITS - _LO_BITS)
 
     def value(self) -> float:
         return self._total / (1 << (53 - _EXP_MIN))
@@ -191,9 +170,11 @@ def _pair_angles(space, pts):
     """(N, angles of the pairs i < j in row order) of a PointSet or distance matrix.
 
     A point pair's angle comes from its own two embedded rows, a matrix
-    pair's is 0.5 * (dm[i, j] + dm[j, i]): neither depends on the pair's
-    position or order, so relabelling only permutes the angles.  Pairs are
-    taken _SUM_CHUNK at a time, so the gathered rows are O(chunk m).
+    pair's is 0.5 * (dm[i, j] + dm[j, i]) clipped to [0, pi], the slack of
+    ``_distance_matrix`` removed, so that every route reads the same angles.
+    Neither depends on the pair's position or order, so relabelling only
+    permutes the angles.  Pairs are taken _SUM_CHUNK at a time, so the
+    gathered rows are O(chunk m).
     """
     points = isinstance(pts, PointSet)
     if points:
@@ -211,7 +192,7 @@ def _pair_angles(space, pts):
             inner = _inner_pairs(E.take(i, axis=0), E.take(j, axis=0))
             theta[p] = np.arccos(_cos_from_inner(space, inner))
         else:
-            theta[p] = 0.5 * (dm[i, j] + dm[j, i])
+            theta[p] = np.clip(0.5 * (dm[i, j] + dm[j, i]), 0.0, math.pi)
     return n, theta
 
 
@@ -261,10 +242,10 @@ def pair_sum(space: SpaceSpec, pts, metric: str = "chordal") -> float:
 
     The diagonal counts as zero.  A PointSet is summed over the upper
     triangle, tile by tile, a distance matrix over the pair angles
-    0.5 * (dm[i, j] + dm[j, i]), i < j, and the total doubled.  The sum is
-    exactly rounded: it depends only on the multiset of pair distances, not
-    on labelling, tiling or tile order.  Memory is O(tile^2 + N m) for a
-    PointSet.
+    0.5 * (dm[i, j] + dm[j, i]), i < j, clipped to [0, pi], and the total
+    doubled.  The sum is exactly rounded: it depends only on the multiset of
+    pair distances, not on labelling, tiling or tile order.  Memory is
+    O(tile^2 + N m) for a PointSet.
     """
     n, total = _count_and_pair_sum(space, pts, metric)
     if n == 0:

@@ -20,7 +20,7 @@ from . import discrepancy as disc
 from . import harmonic, spaces
 from .errors import CrospError, DomainError
 from .spaces import RadiusMeasure, SpaceSpec, catalog, make_space
-from .specfun import Hyp3F2Params, beta, hyp3f2_unit, rising, watson_rhs
+from .specfun import Hyp3F2Params, beta, check_order, hyp3f2_unit, rising, watson_rhs
 
 __all__ = [
     "VerificationReport",
@@ -388,6 +388,11 @@ def run_suite(name: str, seed: int = 0, **options) -> list[VerificationReport]:
         if key not in takes:
             raise DomainError(f"suite {name!r} takes no {key!r} option; it takes "
                               f"{', '.join((*takes, 'seed'))}")
+    # written so that a NaN fails the check
+    if "tol" in options and not 0 < options["tol"] < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {options['tol']}")
+    if "samples" in options:
+        options["samples"] = check_order(options["samples"], 2, "samples")
     return run(seed, **options)
 
 

@@ -264,6 +264,21 @@ class TestCli:
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["pointwise", "--space", "s2", "--tol", "-1"],
+        ["constants", "--space", "s2", "--tol", "-1"],
+        ["watson", "--tol", "0"], ["chain", "--space", "s2", "--tol", "nan"],
+        ["invariance", "--samples", "1"],
+    ])
+    def test_verify_bad_option_value_exit_code(self, capsys, argv):
+        # a bad value is a domain error, not a failed verification: no suite
+        # runs, no table is printed
+        assert main(["verify", *argv, "--no-meta"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_verify_constants_honours_tol(self, capsys):
         # an unreachable tolerance is checked, not only recorded in config
         assert main(["verify", "constants", "--space", "s2", "--tol", "1e-30",

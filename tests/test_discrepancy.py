@@ -5,6 +5,7 @@ import math
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -195,6 +196,14 @@ class TestExactSum:
             "limb_spread": spread,
             # 2**-29 + 2**-81 + 2**-82: half an ulp above, rounds to even
             "limb_halfway": np.array([2.0**-30 + 2.0**-82, 2.0**-30 + 2.0**-81]),
+            # the limbs are signed: hi = floor(v * 2**40) and 0 <= lo < 2**43
+            "limb_negative": np.concatenate([spread, [-0.75], spread[:10]]),
+            "limb_signed": spread * rng.choice([-1.0, 1.0], spread.size),
+            "limb_negative_edges": np.repeat([-floor, -np.nextafter(floor, 1),
+                                              -np.nextafter(4.0, 0), -math.pi, -1.0], 300),
+            "limb_negative_zero": np.concatenate([np.full(5, -0.0), -spread[:100], [0.0]]),
+            "limb_only_negative_zeros": np.full(7, -0.0),
+            "limb_cancelling": np.concatenate([spread, -spread[::-1]]),
         }
 
     @staticmethod
@@ -209,8 +218,9 @@ class TestExactSum:
             "tiny": [1e-12 * (1 + 2**-52)],
             "far_below_floor": [1e-300],
             "subnormal": [5e-324, 7 * 5e-324],
-            "negative": [-0.75],
             "negative_tiny": [-2.0**-40],
+            "negative_subnormal": [-5e-324],
+            "minus_four": [-4.0],
             "four": [4.0],
             "large": [2.0**60 + 2.0**8],
         }
@@ -227,22 +237,26 @@ class TestExactSum:
             assert acc.value() == math.fsum(values.tolist()), name
 
     def test_limb_path_taken(self, monkeypatch):
-        # the range cases never reach the exponent buckets, the mixed ones
-        # never the limbs
-        def refuse(self, chunk):
-            raise AssertionError("wrong path")
-        for path, cases in (("_add_buckets", self.limb_cases()),
-                            ("_add_limbs", self.fallback_cases())):
-            with monkeypatch.context() as mp:
-                mp.setattr(discrepancy._ExactSum, path, refuse)
-                for name, values in cases.items():
-                    acc = discrepancy._ExactSum()
-                    acc.add(values)
-                    assert acc.value() == math.fsum(values.tolist()), name
+        # the range cases never reach the per-value path (math.frexp); the
+        # others reach it for their out-of-range values only
+        seen = []
+
+        def frexp(v):
+            seen.append(v)
+            return math.frexp(v)
+        monkeypatch.setattr(discrepancy, "math", SimpleNamespace(frexp=frexp))
+        for limbs_only, cases in ((True, self.limb_cases()), (False, self.fallback_cases())):
+            for name, values in cases.items():
+                size = np.abs(values)
+                outside = values[(size != 0) & ((size < 2.0**-30) | (size >= 4))]
+                assert (outside.size == 0) == limbs_only, name
+                seen.clear()
+                assert discrepancy._ExactSum(values).value() == math.fsum(values.tolist()), name
+                assert sorted(seen) == sorted(outside.tolist()), name
 
     def test_block_split_and_order_invariant(self, monkeypatch):
         rng = np.random.default_rng(20)
-        # small chunks exercise every path of the buckets
+        # small chunks: chunks of limbs alone, of per-value values alone, and mixed
         monkeypatch.setattr(discrepancy, "_SUM_CHUNK", 97)
         for name, values in self.all_cases().items():
             expected = math.fsum(values.tolist())
@@ -337,6 +351,20 @@ class TestSeriesRoute:
             assert (discrepancy_series(S2, pm), pair_sum(S2, pm, "chordal"),
                     pair_sum(S2, pm, "geodesic"),
                     invariance_residual(S2, pm, route="series")) == expected
+
+    @pytest.mark.parametrize("edge,clipped", [(math.pi + 5e-10, math.pi), (-5e-13, 0.0)])
+    def test_distance_matrix_slack_is_clipped(self, edge, clipped):
+        # a matrix may exceed [0, pi] by a little; every route reads the pair
+        # angle clipped, so all accept it and equal the clipped matrix
+        dm = geodesic_matrix(S2, sample_uniform(S2, 4, np.random.default_rng(24)).points)
+        dm[0, 1] = dm[1, 0] = edge
+        want = dm.copy()
+        want[0, 1] = want[1, 0] = clipped
+        for route in (functools.partial(pair_sum, metric="chordal"),
+                      functools.partial(pair_sum, metric="geodesic"),
+                      discrepancy_closed, discrepancy_series,
+                      functools.partial(invariance_residual, route="series")):
+            assert route(S2, dm) == route(S2, want)
 
 
 class TestMcRoute:

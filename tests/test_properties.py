@@ -1,7 +1,9 @@
 """Property-based checks: the pair sum under relabelling and isometries, the
 series and Monte Carlo discrepancy routes under relabelling, the series
-route against the closed route, and file round trips."""
+route against the closed route and under isometries, the exact accumulator
+against math.fsum, and file round trips."""
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -99,6 +101,12 @@ def test_discrepancy_series_invariant_under_permutation(seed, n, code):
     assert discrepancy_series(space, shuffled) == discrepancy_series(space, pts)
 
 
+def _pair_tol(space, pts, tol):
+    """The tolerance at which discrepancy_series accepts each pair of pts."""
+    theta = discrepancy._pair_angles(space, pts)[1]
+    return np.maximum(tol, discrepancy._SMALL_ANGLE_FLOOR / theta**2)
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=seeds, n=small_sizes, code=codes)
 def test_series_route_agrees_with_closed_route(seed, n, code):
@@ -111,10 +119,45 @@ def test_series_route_agrees_with_closed_route(seed, n, code):
     space = parse_space(code)
     pts = sample_uniform(space, n, np.random.default_rng(seed))
     tol = 1e-8
-    theta = discrepancy._pair_angles(space, pts)[1]
-    pair_tol = np.maximum(tol, discrepancy._SMALL_ANGLE_FLOOR / theta**2)
     assert (abs(discrepancy_series(space, pts, tol=tol) - discrepancy_closed(space, pts))
-            <= 2 * pair_tol.sum())
+            <= 2 * _pair_tol(space, pts, tol).sum())
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds, n=small_sizes, code=st.sampled_from(["s2", "cp2"]))
+def test_series_route_invariant_under_isometry(seed, n, code):
+    # a rotation of s2 or a unitary map of C^3 moves no pair angle but its
+    # rounding; each set's series value is within 2 * sum(pair_tol) of the
+    # exact discrepancy, so the two are within the sum of both bounds
+    space = parse_space(code)
+    rng = np.random.default_rng(seed)
+    pts = sample_uniform(space, n, rng)
+    if code == "s2":
+        moved = PointSet(S2, pts.points @ _orthogonal(rng, 3).T)
+    else:
+        z = pts.points[..., 0] + 1j * pts.points[..., 1]
+        w = z @ _orthogonal(rng, 3, complex).T
+        moved = PointSet(CP2, np.stack([w.real, w.imag], axis=-1))
+    tol = 1e-8
+    bound = 2 * (_pair_tol(space, pts, tol).sum() + _pair_tol(space, moved, tol).sum())
+    assert abs(discrepancy_series(space, moved, tol=tol)
+               - discrepancy_series(space, pts, tol=tol)) <= bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(-2.0**1000, 2.0**1000), st.floats(-4.0, 4.0)),
+                       max_size=60),
+       cuts=st.lists(st.integers(0, 60), max_size=6), chunk=st.sampled_from([1, 3, 97]))
+def test_exact_sum_equals_fsum(values, cuts, chunk):
+    # any finite doubles, both signs, subnormals and |v| up to 2**1000 (60 of
+    # them sum to below 2**1006, finite), under any block split and chunk
+    values = np.array(values, dtype=float)
+    acc = discrepancy._ExactSum()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discrepancy, "_SUM_CHUNK", chunk)
+        for block in np.split(values, np.minimum(sorted(cuts), values.size)):
+            acc.add(block)
+    assert acc.value() == math.fsum(values.tolist())
 
 
 @settings(max_examples=15, deadline=None)

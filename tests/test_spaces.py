@@ -262,17 +262,21 @@ class TestEmbeddingBits:
             assert got.tobytes() == ref.tobytes()
 
     def test_peak_memory(self):
-        # the array formula peaked at about 9 MB on these points (its
-        # temporaries); the component-major form at about 6.9 MB
+        # the array formula's temporaries peaked at 8.64 MB on these points,
+        # the component-major form at 6.88 MB; both are measured here, since
+        # a fixed bound sat too close to the first to tell them apart
         hp2 = parse_space("hp2")
         X = sample_uniform(hp2, 20_000, np.random.default_rng(0)).points
-        tracemalloc.start()
-        try:
-            spaces._embedding(hp2, X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8.7e6
+
+        def peak(embedding):
+            tracemalloc.start()
+            try:
+                embedding()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peak(lambda: spaces._embedding(hp2, X))
+                <= 0.9 * peak(lambda: _reference_embedding(X)))
 
 
 class TestBallVolume:

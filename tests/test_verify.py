@@ -1,5 +1,7 @@
 """Certification suites: verdicts, aggregation, reproducibility, the erratum guard."""
 
+import math
+
 import pytest
 
 from crosp import discrepancy, harmonic, verify
@@ -159,6 +161,23 @@ def test_run_suite_rejects_options_it_does_not_take(name, option):
     value = {"space": parse_space("s2"), "tol": 1e-3, "samples": 5}[option]
     with pytest.raises(DomainError, match=f"{name!r} takes no {option!r}"):
         run_suite(name, **{option: value})
+
+
+@pytest.mark.parametrize("name,options", [
+    ("pointwise", {"space": parse_space("s2"), "tol": -1.0}),
+    ("constants", {"space": parse_space("s2"), "tol": -1.0}),
+    ("watson", {"tol": 0.0}), ("chain", {"space": parse_space("s2"), "tol": math.nan}),
+    ("integral", {"tol": math.inf}), ("invariance", {"samples": 1}),
+    ("invariance", {"samples": 2.5}),
+])
+def test_run_suite_rejects_bad_option_values_before_any_work(monkeypatch, name, options):
+    # a bad value is the caller's error, not a failed verification: no suite runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the suite ran")
+    monkeypatch.setitem(verify.SUITES, name, (verify.SUITES[name][0], refuse))
+    bad = "samples" if "samples" in options else "tol"
+    with pytest.raises(DomainError, match=f"^{bad} must be"):
+        run_suite(name, **options)
 
 
 def test_constants_suite_honours_tol():
