@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .harmonic import avg_symdiff, symdiff_series
+from .harmonic import avg_symdiff, check_tol, symdiff_series
 from .specfun import check_order
 from .spaces import (
     PointSet,
@@ -28,6 +28,8 @@ from .spaces import (
     _cos_from_inner,
     _embedding,
     _embedding_cols,
+    _embedding_scale,
+    _gaussian_rows,
     _inner_pairs,
     avg_chordal,
     ball_volume,
@@ -207,18 +209,23 @@ def _tiled_pair_sum(space, X, metric) -> float:
     The columns come from a transposed copy, so a diagonal tile is not an
     array times its own transpose: BLAS computes that product (syrk) with
     other roundings than the off-diagonal tiles, and relabelling the points
-    then changed the last bit of the sum (hp2, N = 73).
+    then changed the last bit of the sum (hp2, N = 73).  For the same reason
+    a last block of one point joins the block before it: numpy multiplies
+    by a single row or column with gemv (s2, N = 8, tiles of 7).
     """
     n = len(X)
     E = _embedding(space, X)
     cols = E.T.copy()
     acc = _ExactSum()
-    upper = np.triu(np.ones((_PAIR_TILE, _PAIR_TILE), dtype=bool), 1)
-    for i in range(0, n, _PAIR_TILE):
-        rows = E[i:i + _PAIR_TILE]
-        for j in range(i, n, _PAIR_TILE):
-            vals = _distances_of_cos(_cos_from_inner(space, rows @ cols[:, j:j + _PAIR_TILE]),
-                                     metric)
+    starts = list(range(0, n, _PAIR_TILE))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    ends = starts[1:] + [n]
+    upper = np.triu(np.ones((_PAIR_TILE + 1, _PAIR_TILE + 1), dtype=bool), 1)
+    for k, (i, i_end) in enumerate(zip(starts, ends)):
+        rows = E[i:i_end]
+        for j, j_end in zip(starts[k:], ends[k:]):
+            vals = _distances_of_cos(_cos_from_inner(space, rows @ cols[:, j:j_end]), metric)
             if i == j:
                 vals *= upper[:len(rows), :len(rows)]
             acc.add(vals)
@@ -292,6 +299,7 @@ def discrepancy_series(space: SpaceSpec, pts, measure: RadiusMeasure = None,
     the points (or permuting a matrix's rows and columns together) leaves the
     result unchanged bit for bit.
     """
+    check_tol(tol)
     if measure is None:
         measure = RadiusMeasure.canonical()
     n, theta = _pair_angles(space, pts)
@@ -351,18 +359,21 @@ def _mc_mean(block_values, samples: int, root):
     return mean, math.sqrt(m2 / (n - 1) / n)
 
 
-def _count_within(cos_theta, cos_r):
-    """Per column j, the number of rows i with clip(cos_theta[i, j], -1, 1) > cos_r[j].
+def _count_within(space, inner, scale, cos_r):
+    """Per column j, the number of rows i with a inner[i, j] / scale[j] + b > cos_r[j].
 
-    ``cos_theta`` holds cosines before the clip of ``_cos_from_inner``, and
-    every cos_r lies in [-1, 1].  For c in [-1, 1), clip(y, -1, 1) > c
-    exactly when y > c, NaN included (both false); for c = 1 the clipped
-    side is never greater, so +inf stands in for it.  A count is at most the
+    ``inner`` holds <E(x_i), E(g_j)> for raw centres g_j, whose embedding is
+    scale[j] times that of the point g_j / |g_j| (``_embedding_scale``), and
+    (a, b) are the ``_cos_affine`` constants.  Column j is compared with one
+    threshold, scale[j] (cos_r[j] - b) / a, or +inf where cos_r[j] = 1, since
+    no cosine exceeds 1.  NaN is never counted.  A count is at most the
     number of rows, so it is summed in the smallest unsigned type that holds
     that number.
     """
-    inside = cos_theta > np.where(cos_r < 1.0, cos_r, np.inf)
-    return inside.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(len(cos_theta)))
+    a, b = _cos_affine(space)
+    threshold = np.where(cos_r < 1.0, scale * ((cos_r - b) / a), np.inf)
+    inside = inner > threshold
+    return inside.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(len(inner)))
 
 
 def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
@@ -375,26 +386,33 @@ def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
     theta < r.  Deterministic for a fixed seed.  ``samples`` must be an
     integer >= 2 and ``seed`` an integer >= 0.  Blocks run on the calling
     thread; BLAS uses the cores for each block's matrix product.
+
+    A block draws its centres as raw Gaussian rows g, never normalised:
+    the embedding is homogeneous, embed(g) = s embed(g / |g|) with s = |g|
+    on spheres and |g|^2 otherwise, so the test a <E(x), E(g/|g|)> + b > cos r
+    is <E(x), E(g)> > s (cos r - b) / a, one threshold per centre
+    (``_count_within``).  The counts equal those of the normalised centres
+    in exact arithmetic and can differ only where cos theta lies within
+    rounding of cos r.
     """
     if not isinstance(pts, PointSet):
         raise DomainError("the Monte Carlo route requires an explicit point set")
     X = _point_array(space, pts)
     n = len(pts)
-    a, b = _cos_affine(space)
-    # once, not per block; a is 1 or 2, so (a E) @ C is a (E @ C) bit for bit
-    E = a * _embedding(space, X)
+    E = _embedding(space, X)  # once, not per block
 
     def block_values(stream, count):
-        centers = sample_uniform(space, count, stream).points
+        g = _gaussian_rows(space, count, stream)
         r = np.arccos(1 - 2 * stream.random(count))
-        # (n, count), unclipped; the centers go in coordinate-major, as they
-        # are built.  An entry may then differ in its last bit from
-        # cos_geodesic_matrix's (see _embedding), which moves a count only
-        # if cos r falls between the two roundings
-        cos_theta = E @ _embedding_cols(space, centers)
-        if b:
-            cos_theta += b
-        dev = _count_within(cos_theta, np.cos(r)) - n * ball_volume(space, r)
+        cols = _embedding_cols(space, g)
+        scale = _embedding_scale(space, g, cols)
+        # (n, count); the centres go in coordinate-major, as they are built.
+        # An entry may then differ in its last bit from cos_geodesic_matrix's
+        # (see _embedding), which moves a count only if cos r falls between
+        # the two roundings
+        inner = E @ cols
+        del cols  # not held through the comparison, which peaks the block's memory
+        dev = _count_within(space, inner, scale, np.cos(r)) - n * ball_volume(space, r)
         return 2.0 * dev * dev
 
     value, stderr = _mc_mean(block_values, samples, seed)

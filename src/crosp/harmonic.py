@@ -220,6 +220,16 @@ def expansion_coeffs(space: SpaceSpec, measure: RadiusMeasure = RadiusMeasure.ca
 # adaptive series engine
 
 
+def check_tol(tol) -> np.ndarray:
+    """``tol`` as a float array; DomainError unless every entry is finite and
+    positive.  The series entry points call it before any other work."""
+    tols = np.asarray(tol, dtype=float)
+    # written so that a NaN fails the check
+    if not np.all((tols > 0) & (tols < np.inf)):
+        raise DomainError("tol must be finite and positive")
+    return tols
+
+
 def _adaptive_series(space, theta, t_l, tail_fn, tol):
     """Sum sum_l t_l (1 - phi_l(theta)) adaptively for every theta.
 
@@ -229,14 +239,12 @@ def _adaptive_series(space, theta, t_l, tail_fn, tol):
     ``tol``, or two consecutive stable refinements past the
     oscillation-resolution floor, or a relaxed Richardson-style check at the
     hard cap.  ``tol`` may be a scalar or a per-theta array of absolute
-    tolerances.  A scalar ``theta`` gives a float.
+    tolerances, checked by ``check_tol``.  A scalar ``theta`` gives a float.
     """
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     if not np.all((thetas >= 0) & (thetas <= math.pi + 1e-12)):
         raise DomainError("theta must lie in [0, pi]")
-    tols = np.broadcast_to(np.asarray(tol, dtype=float), thetas.shape)
-    if not np.all(tols > 0):
-        raise DomainError("tol must be positive")
+    tols = np.broadcast_to(tol, thetas.shape)
     values = np.zeros_like(thetas)
     active = np.flatnonzero(thetas > 0)
     order = active[np.argsort(thetas[active])]
@@ -393,17 +401,19 @@ def symdiff_series(space: SpaceSpec, theta, measure: RadiusMeasure = None,
     cap degrades like 1/theta^2, so very small angles need a
     correspondingly relaxed tolerance.
     """
+    tols = check_tol(tol)
     if measure is None:
         measure = RadiusMeasure.canonical()
     t_l, tail_fn = _symdiff_coeffs(space, measure)
-    return _adaptive_series(space, theta, t_l, tail_fn, tol)
+    return _adaptive_series(space, theta, t_l, tail_fn, tols)
 
 
 def chordal_series(space: SpaceSpec, theta, tol: float = 1e-8):
     """Chordal metric sin(theta/2) summed from its zonal expansion."""
+    tols = check_tol(tol)
     table = expansion_coeffs(space, RadiusMeasure.canonical(), SERIES_CAP)
     t_l = 0.5 * table.m_l * table.c_l
-    return _adaptive_series(space, theta, t_l, lambda L: 0.5 * coeff_tail(space, L + 1), tol)
+    return _adaptive_series(space, theta, t_l, lambda L: 0.5 * coeff_tail(space, L + 1), tols)
 
 
 def avg_symdiff(space: SpaceSpec, measure: RadiusMeasure = None) -> float:

@@ -318,6 +318,10 @@ def _embedding_cols(space: SpaceSpec, X: np.ndarray, out: np.ndarray = None) -> 
     their own embedding, so on spheres this is the view X.T.  Otherwise the
     rows are written into ``out``, by default a new C-contiguous array, in
     which each row is written in one contiguous pass.
+
+    The rows are homogeneous in a point's representative: rows of any
+    nonzero length, such as raw Gaussian draws, give embed(l x) = l^k embed(x)
+    with k = 1 on spheres and k = 2 otherwise, rounding aside.
     """
     if space.family is Family.SPHERE:
         return X.T
@@ -339,11 +343,44 @@ def _embedding_cols(space: SpaceSpec, X: np.ndarray, out: np.ndarray = None) -> 
         np.multiply(xk[0], xk[0], out=out[k])
         for c in xk[1:]:
             out[k] += c * c
+    # each component of x_a conj(x_b) is the signed sum of products the
+    # doubling rule forms, added pairwise in its order (so with its bits),
+    # in scratch rows; the sign of the sum goes into the factor sqrt(2)
+    terms = algebra.conj_product_terms(d0)
+    scratch = np.empty((d0.bit_length(), len(X)))
     for p, (a, b) in enumerate(zip(i, j)):
-        prod = algebra.mul_parts(list(comps[a]), algebra.conj_parts(list(comps[b])))
-        for c, part in enumerate(prod):
-            np.multiply(part, math.sqrt(2.0), out=out[n1 + p * d0 + c])
+        for c, part in enumerate(terms):
+            sign = _signed_sum(part, comps[a], comps[b], scratch)
+            np.multiply(scratch[0], sign * math.sqrt(2.0), out=out[n1 + p * d0 + c])
     return out
+
+
+def _signed_sum(terms, xs, ys, scratch) -> int:
+    """Write s * sum(sign * xs[i] * ys[j]) into scratch[0] and return s = +-1.
+
+    The terms are added pairwise, the second half of each sum in
+    scratch[1:]; a half whose sign differs is subtracted.
+    """
+    if len(terms) == 1:
+        (sign, i, j), = terms
+        np.multiply(xs[i], ys[j], out=scratch[0])
+        return sign
+    h = len(terms) // 2
+    s = _signed_sum(terms[:h], xs, ys, scratch)
+    t = _signed_sum(terms[h:], xs, ys, scratch[1:])
+    (np.add if s == t else np.subtract)(scratch[0], scratch[1], out=scratch[0])
+    return s
+
+
+def _embedding_scale(space: SpaceSpec, G: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """s with embed(G[i]) = s[i] embed(G[i] / |G[i]|) for raw rows G.
+
+    ``cols`` is ``_embedding_cols(space, G)``.  On spheres s = |G[i]|;
+    otherwise s = |G[i]|^2, the sum of the diagonal rows of ``cols``.
+    """
+    if space.family is Family.SPHERE:
+        return np.sqrt(np.einsum("ij,ij->i", G, G))
+    return cols[:space.n + 1].sum(axis=0)
 
 
 def _embedding(space: SpaceSpec, X: np.ndarray) -> np.ndarray:
@@ -493,14 +530,12 @@ def avg_chordal(space: SpaceSpec) -> float:
     return beta((d + 1) / 2, d0 / 2) / beta(d / 2, d0 / 2)
 
 
-def sample_uniform(space: SpaceSpec, count: int, rng: np.random.Generator,
-                   label: str = "") -> PointSet:
-    """count i.i.d. points from the invariant probability measure.
+def _gaussian_rows(space: SpaceSpec, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count i.i.d. standard Gaussian rows in the point shape of ``space``.
 
-    Gaussian vectors normalized to the unit sphere of R^{d+1} or F^{n+1};
-    invariance of the Gaussian law under the isometry group makes the
-    pushforward uniform.  ``count`` must be an integer >= 0.  Not available
-    on the octonionic plane.
+    Normalised, each row is a uniform point: the Gaussian law is invariant
+    under the isometry group.  ``count`` must be an integer >= 0.  Not
+    available on the octonionic plane.
     """
     count = check_order(count, 0, "count")
     if space.family is Family.OCT_PROJ:
@@ -509,13 +544,22 @@ def sample_uniform(space: SpaceSpec, count: int, rng: np.random.Generator,
             "no elementary vector representative exists - use chart_point_oct or "
             "distance-matrix inputs instead"
         )
-    shape = _point_shape(space)
-    if count == 0:
-        return PointSet(space, np.zeros((0,) + shape), label)
-    g = rng.standard_normal((count,) + shape)
-    norms = np.sqrt(np.sum(g.reshape(count, -1) ** 2, axis=1))
+    return rng.standard_normal((count,) + _point_shape(space))
+
+
+def sample_uniform(space: SpaceSpec, count: int, rng: np.random.Generator,
+                   label: str = "") -> PointSet:
+    """count i.i.d. points from the invariant probability measure.
+
+    The rows of ``_gaussian_rows`` normalized to the unit sphere of R^{d+1}
+    or F^{n+1}; invariance of the Gaussian law under the isometry group
+    makes the pushforward uniform.  ``count`` must be an integer >= 0.  Not
+    available on the octonionic plane.
+    """
+    g = _gaussian_rows(space, count, rng)
+    flat = g.reshape(len(g), math.prod(g.shape[1:]))  # also for no rows
     # a Gaussian vector is never numerically zero at these dimensions
-    g /= norms.reshape((count,) + (1,) * len(shape))
+    g /= np.sqrt(np.sum(flat**2, axis=1)).reshape((len(g),) + (1,) * (g.ndim - 1))
     g.setflags(write=False)  # no one else holds g, so PointSet need not copy it
     return PointSet(space, g, label)
 

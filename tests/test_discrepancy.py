@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from crosp import discrepancy
+from crosp import discrepancy, harmonic, spaces
 from crosp.discrepancy import (
     discrepancy_closed,
     discrepancy_mc,
@@ -103,6 +103,16 @@ class TestPairSum:
         for tile in (7, 64, 299, 300):
             monkeypatch.setattr(discrepancy, "_PAIR_TILE", tile)
             assert pair_sum(CP2, pts) == expected
+
+    @pytest.mark.parametrize("n, seed", [(8, 2), (8, 40), (8, 47792420), (15, 4)])
+    def test_one_point_edge_block_keeps_relabelling_invariance(self, n, seed, monkeypatch):
+        # with tiles of 7, a last block of one point went through gemv, whose
+        # roundings differ, and these relabellings changed the last bit
+        monkeypatch.setattr(discrepancy, "_PAIR_TILE", 7)
+        rng = np.random.default_rng(seed)
+        pts = sample_uniform(S2, n, rng)
+        shuffled = PointSet(S2, pts.points[rng.permutation(n)])
+        assert pair_sum(S2, shuffled) == pair_sum(S2, pts)
 
     def test_chunk_and_tile_size_invariant(self, monkeypatch):
         # the total is the exactly rounded sum of the kernel's entries,
@@ -481,35 +491,99 @@ class TestMcRoute:
 
 
 class TestCountWithin:
-    """The block's membership count equals the count of the clipped cosines."""
+    """The block's per-centre threshold counts what the clipped cosines of
+    the normalised centres count."""
 
     @staticmethod
     def _clipped(cos_theta, cos_r):
         return np.count_nonzero(np.clip(cos_theta, -1.0, 1.0) > cos_r, axis=0)
 
+    @staticmethod
+    def _block_counts(space, X, G, cos_r):
+        """The counts of a Monte Carlo block for points X and raw centres G."""
+        cols = spaces._embedding_cols(space, G)
+        inner = spaces._embedding(space, X) @ cols
+        return discrepancy._count_within(space, inner, spaces._embedding_scale(space, G, cols),
+                                         cos_r)
+
     def test_edge_values(self):
         # cosines rounded above 1 against cos r = 1, cosines below -1, NaN,
-        # and each threshold's neighbours
+        # and each threshold's neighbours; on a sphere with scale 1 the
+        # threshold is cos r itself, and a scale of 4 moves no count
         values = np.array([np.nan, -np.inf, -1.5, np.nextafter(-1.0, -2.0), -1.0,
                            np.nextafter(-1.0, 0.0), 0.0, np.nextafter(1.0, 0.0), 1.0,
                            np.nextafter(1.0, 2.0), 1.0 + 1e-12, 2.0, np.inf])
         cos_r = np.array([-1.0, np.nextafter(-1.0, 0.0), 0.0, np.nextafter(1.0, 0.0), 1.0])
         cos_theta = np.repeat(values[:, None], len(cos_r), axis=1)
-        got = discrepancy._count_within(cos_theta, cos_r)
-        assert got.tolist() == self._clipped(cos_theta, cos_r).tolist()
-        assert got.tolist() == [8, 7, 6, 5, 0]
+        for scale in (1.0, 4.0):
+            got = discrepancy._count_within(S2, scale * cos_theta, np.full(len(cos_r), scale),
+                                            cos_r)
+            assert got.tolist() == self._clipped(cos_theta, cos_r).tolist()
+            assert got.tolist() == [8, 7, 6, 5, 0]
 
     @pytest.mark.parametrize("rows", [1, 255, 256, 70_000])
     def test_random_and_wide(self, rows):
-        # counts past 255 and 65535 need a wider sum than a byte or two
+        # counts past 255 and 65535 need a wider sum than a byte or two; the
+        # inner products are those of centres of random length, and since
+        # inner and threshold round alike a count could move only for a
+        # cosine within rounding of cos r
         rng = np.random.default_rng(rows)
         cos_theta = rng.uniform(-1.2, 1.2, (rows, 6))
         cos_theta[rng.random(cos_theta.shape) < 0.01] = np.nan
         cos_theta[:, 0] = 1.5
         cos_r = np.array([-1.0, -1.0, 1.0, 0.3, np.nextafter(1.0, 0.0), -0.7])
-        got = discrepancy._count_within(cos_theta, cos_r)
-        assert got.tolist() == self._clipped(cos_theta, cos_r).tolist()
-        assert got[0] == rows
+        scale = rng.uniform(0.5, 3.0, 6)
+        for space in (S2, HP2):
+            a, b = spaces._cos_affine(space)
+            got = discrepancy._count_within(space, scale * ((cos_theta - b) / a), scale, cos_r)
+            assert got.dtype == np.min_scalar_type(rows)
+            assert got.tolist() == self._clipped(cos_theta, cos_r).tolist()
+            assert got[0] == rows
+
+    @pytest.mark.parametrize("code", ["s2", "rp2", "cp2", "hp2"])
+    def test_zero_radius_counts_nothing(self, code):
+        # a centre equal to a point, or to a multiple of one, is not within
+        # radius 0 of it, whatever the rounding of its inner product
+        space = parse_space(code)
+        X = sample_uniform(space, 20, np.random.default_rng(21)).points
+        for G in (X, 3.0 * X, 0.1 * X):
+            assert not self._block_counts(space, X, G, np.ones(len(G))).any()
+
+    def test_full_radius_sphere_misses_exact_antipode(self):
+        X = np.vstack([np.eye(3), -np.eye(3),
+                       sample_uniform(S2, 10, np.random.default_rng(22)).points])
+        G = np.array([[-2.0, 0.0, 0.0], [0.0, 0.0, 0.5]])  # antipodes of rows 0 and 5
+        assert self._block_counts(S2, X, G, np.array([-1.0, -1.0])).tolist() == [15, 15]
+
+    @pytest.mark.parametrize("code", ["rp2", "cp2", "hp2"])
+    def test_full_radius_projective_misses_orthogonal_points(self, code):
+        # points on the three coordinate axes, each with a unit phase, and
+        # generic points; a centre on axis 1 is orthogonal to axes 0 and 2
+        space = parse_space(code)
+        rng = np.random.default_rng(23)
+        axes = np.zeros((3, 3, space.d0))
+        for k in range(3):
+            axes[k, k, 0] = 1.0
+        X = np.concatenate([axes, sample_uniform(space, 10, rng).points])
+        G = np.zeros((2, 3, space.d0))
+        G[0, 1, 0] = 3.0
+        G[1, 1, -1] = -0.25
+        assert self._block_counts(space, X, G, np.array([-1.0, -1.0])).tolist() == [11, 11]
+
+    @pytest.mark.parametrize("code", ["s2", "s3", "rp2", "cp2", "hp2"])
+    def test_power_of_two_scaling_moves_no_count(self, code):
+        # scaling a raw row by 2^j scales its embedding and its threshold by
+        # 2^(kj) exactly, k = 1 on spheres and 2 otherwise
+        space = parse_space(code)
+        rng = np.random.default_rng(24)
+        X = sample_uniform(space, 50, rng).points
+        G = spaces._gaussian_rows(space, 2000, rng)
+        cos_r = np.cos(np.arccos(1 - 2 * rng.random(len(G))))
+        cos_r[:3] = (-1.0, 1.0, 0.0)
+        got = self._block_counts(space, X, G, cos_r)
+        assert 0 < got.sum() < got.size * len(X)
+        for j in (-7, -1, 1, 9):
+            assert self._block_counts(space, X, G * 2.0**j, cos_r).tolist() == got.tolist()
 
 
 class TestSymdiffDirect:
@@ -638,3 +712,20 @@ class TestArgumentChecks:
         expected = UnsupportedSpaceError if name.startswith("make_space") else DomainError
         with pytest.raises(expected):
             self.CALLS[name](self)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-8, [1e-8, math.inf]])
+    def test_series_tol_rejected_before_any_work(self, tol, monkeypatch):
+        # a tolerance that is not finite and positive stops every series entry
+        # point before it reads a pair angle or a coefficient table
+        def no_work(*args, **kwargs):
+            pytest.fail("work done before the tolerance was checked")
+        monkeypatch.setattr(discrepancy, "_pair_angles", no_work)
+        monkeypatch.setattr(harmonic, "_symdiff_coeffs", no_work)
+        monkeypatch.setattr(harmonic, "expansion_coeffs", no_work)
+        theta = np.array([0.5, 1.0])
+        for call in (lambda: discrepancy_series(S2, self.PTS, tol=tol),
+                     lambda: symdiff_series(S2, theta, tol=tol),
+                     lambda: harmonic.chordal_series(S2, theta, tol=tol),
+                     lambda: lp_symdiff(S2, theta, p=2.0, tol=tol)):
+            with pytest.raises(DomainError, match="finite and positive"):
+                call()

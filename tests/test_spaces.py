@@ -261,6 +261,35 @@ class TestEmbeddingBits:
             assert got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("code", ["rp2", "rp3", "cp2", "cp3", "hp2", "hp3"])
+    def test_signed_sums_match_doubling_rule(self, code):
+        # the embedding as the Monte Carlo block used it before its terms were
+        # listed: sqrt(2) times mul_parts on the component arrays, negated
+        # copies and all, on raw Gaussian rows like the block's centres
+        space = parse_space(code)
+        G = spaces._gaussian_rows(space, 4096, np.random.default_rng(20))
+        comps = np.ascontiguousarray(np.moveaxis(G, 0, 2))
+        n1 = space.n + 1
+        rows = [np.sum(comps[k] ** 2, axis=0) for k in range(n1)]
+        for a, b in zip(*np.triu_indices(n1, 1)):
+            prod = algebra.mul_parts(list(comps[a]), algebra.conj_parts(list(comps[b])))
+            rows += [part * math.sqrt(2.0) for part in prod]
+        assert spaces._embedding_cols(space, G).tobytes() == np.stack(rows).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8])
+    def test_term_table_is_conj_product(self, dim):
+        # coefficient of x_p y_q in component c of x conj(y)
+        coeff = np.zeros((dim, dim, dim))
+        for c, terms in enumerate(algebra.conj_product_terms(dim)):
+            assert len(terms) == dim
+            for sign, p, q in terms:
+                coeff[c, p, q] += sign
+        basis = np.eye(dim)
+        for p in range(dim):
+            for q in range(dim):
+                assert np.array_equal(coeff[:, p, q],
+                                      algebra.cd_mul(basis[p], algebra.cd_conj(basis[q])))
+
     def test_peak_memory(self):
         # the array formula's temporaries peaked at 8.64 MB on these points,
         # the component-major form at 6.88 MB; both are measured here, since
