@@ -14,9 +14,7 @@ from .discrepancy import (
     discrepancy_mc,
     discrepancy_series,
     invariance_residual,
-    lp_symdiff,
     pair_sum,
-    symdiff_direct,
 )
 from .errors import (
     ConsistencyError,
@@ -45,7 +43,6 @@ from .spaces import (
     Family,
     Point,
     PointSet,
-    RadiusMeasure,
     SpaceSpec,
     avg_chordal,
     ball_volume,

@@ -1,10 +1,10 @@
 """Point-set functionals: pairwise sums, ball quadratic discrepancy by three
-routes, symmetric-difference values, and invariance-principle residuals.
+routes, and invariance-principle residuals.
 
-The Monte Carlo route samples centers and radii jointly; the direct
-symmetric-difference estimator deliberately uses the opposite nesting
-(outer radius quadrature, inner membership counting) so the two remain
-independent cross-checks.
+The Monte Carlo route samples centers and radii jointly.  The tests keep a
+direct symmetric-difference estimator with the opposite nesting (outer
+radius quadrature, inner membership counting) as the stochastic oracle of
+``symdiff_series``, so the two remain independent cross-checks.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from .harmonic import avg_symdiff, check_tol, symdiff_series
 from .specfun import check_order
 from .spaces import (
     PointSet,
-    RadiusMeasure,
     SpaceSpec,
-    _as_data,
     _cos_affine,
     _cos_from_inner,
     _embedding,
@@ -33,9 +31,7 @@ from .spaces import (
     _inner_pairs,
     avg_chordal,
     ball_volume,
-    cos_geodesic_matrix,
     gamma_const,
-    sample_uniform,
 )
 
 __all__ = [
@@ -44,8 +40,6 @@ __all__ = [
     "discrepancy_closed",
     "discrepancy_series",
     "discrepancy_mc",
-    "symdiff_direct",
-    "lp_symdiff",
     "invariance_residual",
 ]
 
@@ -280,33 +274,29 @@ def discrepancy_closed(space: SpaceSpec, pts) -> float:
 _SMALL_ANGLE_FLOOR = 2e-11
 
 
-def discrepancy_series(space: SpaceSpec, pts, measure: RadiusMeasure = None,
-                       tol: float = 1e-8) -> float:
+def discrepancy_series(space: SpaceSpec, pts, tol: float = 1e-8) -> float:
     """Ball quadratic discrepancy summed pairwise from the zonal expansion.
 
-    Works for any radius measure and for every catalog space, including the
-    octonionic plane (point sets may be given as a geodesic distance matrix).
+    Works for every catalog space, including the octonionic plane (point
+    sets may be given as a geodesic distance matrix).
     Pairs at very small angles are evaluated at a relaxed per-pair tolerance
     (the series cannot certify fixed absolute accuracy as theta -> 0); their
     contribution to the total stays negligible.
 
     Each pair value is accepted by ``symdiff_series`` through a tail
     certificate, two stable refinements, or the relaxed check at the term
-    cap.  Only under the canonical measure is the tail exact and the first
-    path a certificate; under a point-mass measure the tail is an
-    extrapolated 1/l^2 estimate, so the total is an estimate too.
+    cap.  The radius measure is the canonical sin(r) dr, whose tail is exact,
+    so the first path is a certificate.
     The pair values are summed exactly over ``_pair_angles``, so relabelling
     the points (or permuting a matrix's rows and columns together) leaves the
     result unchanged bit for bit.
     """
     check_tol(tol)
-    if measure is None:
-        measure = RadiusMeasure.canonical()
     n, theta = _pair_angles(space, pts)
-    mean = avg_symdiff(space, measure)
+    mean = avg_symdiff(space)
     with np.errstate(divide="ignore"):
         pair_tol = np.where(theta > 0, np.maximum(tol, _SMALL_ANGLE_FLOOR / theta**2), tol)
-    off = symdiff_series(space, theta, measure, pair_tol)
+    off = symdiff_series(space, theta, pair_tol)
     # kernel(theta) = mean - symdiff(theta); diagonal contributes mean each
     return float(n * mean + 2 * _ExactSum(mean - off).value())
 
@@ -417,48 +407,6 @@ def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
 
     value, stderr = _mc_mean(block_values, samples, seed)
     return McEstimate(value, stderr, int(samples), int(seed))
-
-
-def symdiff_direct(space: SpaceSpec, x, y, measure: RadiusMeasure = None,
-                   mc_samples: int = 100_000, rng: np.random.Generator = None,
-                   seed: int = 0) -> McEstimate:
-    """Symmetric-difference distance by quadrature over radii with Monte Carlo
-    volume estimates of the ball intersections.
-
-    Independent of the zonal expansion; serves as its stochastic oracle.
-    Samples are drawn in the blocks of ``discrepancy_mc``, keyed by ``seed``,
-    or by a root drawn from ``rng`` when one is given; the estimate reports
-    that root as its seed.  ``mc_samples`` and the root are checked as
-    there.  ``x`` and ``y`` are Points of ``space`` or their coordinates.
-    """
-    if measure is None:
-        measure = RadiusMeasure.canonical()
-    root = seed if rng is None else int(rng.integers(2**63))
-    xd = _as_data(space, x)
-    yd = _as_data(space, y)
-    r_nodes, r_weights = measure.rule()
-    const = float(np.dot(r_weights, ball_volume(space, r_nodes)))
-    pair = np.stack([xd, yd])
-    cos_r = np.cos(r_nodes)
-
-    def block_values(stream, count):
-        z = sample_uniform(space, count, stream).points
-        # z lies in both balls of radius r exactly when it lies in the ball
-        # around the farther of x and y, the one of smaller cos theta
-        cos_far = cos_geodesic_matrix(space, pair, z).min(axis=0)
-        return (cos_far[:, None] > cos_r) @ r_weights
-
-    mean, stderr = _mc_mean(block_values, mc_samples, root)
-    return McEstimate(const - mean, stderr, int(mc_samples), int(root))
-
-
-def lp_symdiff(space: SpaceSpec, theta, measure: RadiusMeasure = None,
-               p: float = 1.0, tol: float = 1e-8):
-    """The L_p version of the symmetric-difference metric: its p-th root."""
-    if not p >= 1:  # written so that a NaN fails the check
-        raise DomainError(f"p must be >= 1, got {p}")
-    base = symdiff_series(space, theta, measure, tol)
-    return base ** (1.0 / p)
 
 
 def invariance_residual(space: SpaceSpec, pts, route: str = "closed",

@@ -6,18 +6,18 @@ coefficients decaying like 1/l^2.  Each ingredient is coded once:
 
 * the Jacobi three-term recurrence (``specfun._JacobiRecurrence``);
 * one vectorized log-formula each for the level weights m_l, the chordal
-  coefficients c_l and the canonical radial weights a_l, shared by the
-  scalar functions and the cached table ``expansion_coeffs``;
-* the radius quadrature rule of each measure (``RadiusMeasure.rule``).
+  coefficients c_l and the radial weights a_l against the one radius
+  measure sin(r) dr, shared by the scalar functions and the cached table
+  ``expansion_coeffs``;
+* the radius quadrature rule of that measure (``_sine_rule``).
 
 The series engine sums sum_l t_l (1 - phi_l(theta)) for many angles at
 once as [head + tail] - [window average of the oscillatory partial sums
 over one Jacobi oscillation period in the degree].  At fixed checkpoints
 every open angle is tested, with array masks, for three acceptance paths:
 a coefficient-tail certificate, two consecutive stable refinements, or a
-relaxed check at the hard cap of 10^4 terms.  For the canonical measure the
-tail is exact (a telescoped antidifference), so the first path is a
-certificate; for point-mass measures it is an extrapolated 1/l^2 estimate.
+relaxed check at the hard cap of 10^4 terms.  The tail is exact (a
+telescoped antidifference), so the first path is a certificate.
 A chunk of angles keeps only the last partial sums that a window can read,
 in a ring sized from a fixed entry budget.  The degrees between two
 checkpoints go through in blocks of ``specfun._JACOBI_BLOCK``: the recurrence
@@ -39,18 +39,17 @@ closed-form reduction (see ``leibniz_closed``).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 from .errors import ConsistencyError, ConvergenceError, DomainError
-from .spaces import RadiusMeasure, SpaceSpec, ball_volume, gamma_const
+from .spaces import SpaceSpec, ball_volume, gamma_const
 from .specfun import (_JacobiRecurrence, _jacobi_row, _lgamma_diff, beta, check_order,
-                      gauss_jacobi, jacobi_at_one, jacobi_eval, jacobi_rows, rising, falling)
+                      gauss_jacobi, jacobi_at_one, jacobi_eval, rising, falling)
 
 __all__ = [
     "ExpansionCoeffs",
@@ -114,28 +113,21 @@ def _log_chordal_coeff(space, ls):
             + _lgamma_diff(ls, -0.5, 1) + _lgamma_diff(ls, d / 2, 1))
 
 
-def _radial_weights(space, measure, L):
-    """a_1, ..., a_L: squared-Jacobi integrals against the radius measure.
+def _radial_weights(space, L):
+    """a_1, ..., a_L: squared-Jacobi integrals against sin(r) dr.
 
-    The canonical sine measure admits a closed form: with (a, b) = (d/2, d0/2),
-    a_l = 2 Gamma(l - 1/2) / (Gamma(1/2) Gamma(l)^2) * Gamma(d+1) Gamma(d0+1)
-    / Gamma(d+d0+2) * (a+1)_{l-1} (b+1)_{l-1} / (a+b+3/2)_{l-1}, whose gamma
-    functions of l pair up into three ratios.  Point-mass measures are summed
-    directly.
+    With (a, b) = (d/2, d0/2), a_l = 2 Gamma(l - 1/2) / (Gamma(1/2) Gamma(l)^2)
+    * Gamma(d+1) Gamma(d0+1) / Gamma(d+d0+2) * (a+1)_{l-1} (b+1)_{l-1}
+    / (a+b+3/2)_{l-1}, whose gamma functions of l pair up into three ratios.
     """
     d, d0 = space.d, space.d0
-    if measure.kind == "sine":
-        a, b = d / 2, d0 / 2
-        ls = np.arange(1, L + 1, dtype=float)
-        const = (math.log(2.0) - math.lgamma(0.5) + math.lgamma(d + 1) + math.lgamma(d0 + 1)
-                 - math.lgamma(d + d0 + 2) - math.lgamma(a + 1) - math.lgamma(b + 1)
-                 + math.lgamma(a + b + 1.5))
-        return np.exp(const + _lgamma_diff(ls, -0.5, 0) + _lgamma_diff(ls, a, 0)
-                      + _lgamma_diff(ls, b, a + b + 0.5))
-    nodes, weights = measure.rule()
-    w_geom = np.sin(nodes / 2) ** (2 * d) * np.cos(nodes / 2) ** (2 * d0)
-    rows = itertools.islice(jacobi_rows(d / 2, d0 / 2, np.cos(nodes)), L)
-    return np.array([np.dot(weights, p**2 * w_geom) for p in rows], dtype=float)
+    a, b = d / 2, d0 / 2
+    ls = np.arange(1, L + 1, dtype=float)
+    const = (math.log(2.0) - math.lgamma(0.5) + math.lgamma(d + 1) + math.lgamma(d0 + 1)
+             - math.lgamma(d + d0 + 2) - math.lgamma(a + 1) - math.lgamma(b + 1)
+             + math.lgamma(a + b + 1.5))
+    return np.exp(const + _lgamma_diff(ls, -0.5, 0) + _lgamma_diff(ls, a, 0)
+                  + _lgamma_diff(ls, b, a + b + 0.5))
 
 
 def level_weight(space: SpaceSpec, l: int) -> float:
@@ -164,9 +156,9 @@ def chordal_coeff(space: SpaceSpec, l: int) -> float:
     return value
 
 
-def radial_weight(space: SpaceSpec, l: int, measure: RadiusMeasure) -> float:
-    """Radial weight of degree l: squared-Jacobi integral against the measure."""
-    return float(_radial_weights(space, measure, check_order(l, 1, "level"))[-1])
+def radial_weight(space: SpaceSpec, l: int) -> float:
+    """Radial weight of degree l: squared-Jacobi integral against sin(r) dr."""
+    return float(_radial_weights(space, check_order(l, 1, "level"))[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +169,11 @@ def radial_weight(space: SpaceSpec, l: int, measure: RadiusMeasure) -> float:
 class ExpansionCoeffs:
     """Tabulated expansion coefficients up to a truncation order.
 
-    ``tail_bound`` dominates the full positive coefficient tail
-    sum_{l > L} m_l c_l (for the canonical measure it is exact).
+    ``tail_bound`` is the full positive coefficient tail sum_{l > L} m_l c_l,
+    exact by the telescoped antidifference of ``coeff_tail``.
     """
 
     space: SpaceSpec
-    measure: RadiusMeasure
     L: int
     m_l: np.ndarray
     c_l: np.ndarray
@@ -202,17 +193,18 @@ def coeff_tail(space: SpaceSpec, l):
 
 
 @lru_cache(maxsize=64)
-def expansion_coeffs(space: SpaceSpec, measure: RadiusMeasure = RadiusMeasure.canonical(),
-                     L: int = SERIES_CAP) -> ExpansionCoeffs:
-    """Build (and cache) the coefficient table for a space and radius measure."""
+def expansion_coeffs(space: SpaceSpec, L: int = SERIES_CAP) -> ExpansionCoeffs:
+    """The coefficient table of a space up to level L, cached.  The library
+    calls it as ``expansion_coeffs(space)`` only, since the cache keys an
+    explicit ``L=SERIES_CAP`` apart and would build the table twice."""
     L = check_order(L, 1, "L")
     ls = np.arange(1, L + 1, dtype=float)
     m_l = _level_weight(space, ls)
     c_l = np.exp(_log_chordal_coeff(space, ls))
-    a_l = _radial_weights(space, measure, L)
+    a_l = _radial_weights(space, L)
     for arr in (m_l, c_l, a_l):
         arr.setflags(write=False)
-    return ExpansionCoeffs(space, measure, L, m_l, c_l, a_l,
+    return ExpansionCoeffs(space, L, m_l, c_l, a_l,
                            float(coeff_tail(space, L + 1)))
 
 
@@ -234,7 +226,7 @@ def _adaptive_series(space, theta, t_l, tail_fn, tol):
     """Sum sum_l t_l (1 - phi_l(theta)) adaptively for every theta.
 
     Rearranged as [head + tail] - [window-averaged oscillatory part].
-    ``tail_fn(L)`` bounds (or estimates) sum_{l > L} t_l, elementwise for an
+    ``tail_fn(L)`` is the exact tail sum_{l > L} t_l, elementwise for an
     array of L.  Acceptance per theta: the tail beyond the window is below
     ``tol``, or two consecutive stable refinements past the
     oscillation-resolution floor, or a relaxed Richardson-style check at the
@@ -364,28 +356,16 @@ def _window_means(ring, l, W):
     return np.add.reduceat(block.ravel(), bounds)[0::2] / W
 
 
-def _symdiff_coeffs(space, measure):
-    table = expansion_coeffs(space, measure, SERIES_CAP)
+def _symdiff_coeffs(space):
+    table = expansion_coeffs(space)
     ls = np.arange(1, SERIES_CAP + 1, dtype=float)
     inv_b = 1.0 / beta(space.d / 2, space.d0 / 2)
     t_l = inv_b * table.m_l * table.a_l / ls**2
-    if measure.kind == "sine":
-        two_gamma = 2.0 * gamma_const(space)
-        return t_l, lambda L: coeff_tail(space, L + 1) / two_gamma
-
-    # no closed tail off the canonical measure: extrapolate the 1/l^2
-    # envelope from the last 64 computed levels (an estimate, not a certificate)
-    csum = np.concatenate(([0.0], np.cumsum(ls**2 * t_l)))
-
-    def tail_fn(L):
-        lo = np.maximum(0, L - 64)
-        return (csum[L] - csum[lo]) / (L - lo) / L
-
-    return t_l, tail_fn
+    two_gamma = 2.0 * gamma_const(space)
+    return t_l, lambda L: coeff_tail(space, L + 1) / two_gamma
 
 
-def symdiff_series(space: SpaceSpec, theta, measure: RadiusMeasure = None,
-                   tol=1e-8):
+def symdiff_series(space: SpaceSpec, theta, tol=1e-8):
     """Symmetric-difference metric by its zonal expansion.
 
     Accepts a scalar or an array of angles (``tol`` may then be a matching
@@ -393,34 +373,41 @@ def symdiff_series(space: SpaceSpec, theta, measure: RadiusMeasure = None,
     of three paths: a tail certificate (the coefficient tail beyond the
     averaging window is below ``tol``), two consecutive stable refinements
     past the oscillation floor, or a relaxed stability check at the hard
-    term cap; otherwise ``ConvergenceError`` is raised.  Under the
-    canonical measure the tail is exact, so the first path certifies
-    ``tol``.  Under any other radius measure the tail is an extrapolated
-    1/l^2 estimate, so the result is an estimate to ``tol``, not a
-    certificate.  Near theta = 0 the attainable absolute accuracy at the
-    cap degrades like 1/theta^2, so very small angles need a
-    correspondingly relaxed tolerance.
+    term cap; otherwise ``ConvergenceError`` is raised.  The radius measure
+    is the canonical sin(r) dr, whose coefficient tail is exact, so the
+    first path certifies ``tol``.  Near theta = 0 the attainable absolute
+    accuracy at the cap degrades like 1/theta^2, so very small angles need
+    a correspondingly relaxed tolerance.
     """
     tols = check_tol(tol)
-    if measure is None:
-        measure = RadiusMeasure.canonical()
-    t_l, tail_fn = _symdiff_coeffs(space, measure)
+    t_l, tail_fn = _symdiff_coeffs(space)
     return _adaptive_series(space, theta, t_l, tail_fn, tols)
 
 
 def chordal_series(space: SpaceSpec, theta, tol: float = 1e-8):
     """Chordal metric sin(theta/2) summed from its zonal expansion."""
     tols = check_tol(tol)
-    table = expansion_coeffs(space, RadiusMeasure.canonical(), SERIES_CAP)
+    table = expansion_coeffs(space)
     t_l = 0.5 * table.m_l * table.c_l
     return _adaptive_series(space, theta, t_l, lambda L: 0.5 * coeff_tail(space, L + 1), tols)
 
 
-def avg_symdiff(space: SpaceSpec, measure: RadiusMeasure = None) -> float:
-    """Mean symmetric-difference distance: integral of v - v^2 in the measure."""
-    if measure is None:
-        measure = RadiusMeasure.canonical()
-    r, w = measure.rule()
+@cache
+def _sine_rule():
+    """(nodes, weights) integrating f(r) against sin(r) dr on [0, pi]: a
+    64-node Gauss-Legendre rule mapped to [0, pi], read-only.  Built on first
+    use, since it imports numpy.polynomial, which no other code path needs."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    r = (x + 1) * (math.pi / 2)
+    rule = (r, (math.pi / 2) * w * np.sin(r))
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
+def avg_symdiff(space: SpaceSpec) -> float:
+    """Mean symmetric-difference distance: integral of v - v^2 against sin(r) dr."""
+    r, w = _sine_rule()
     v = ball_volume(space, r)
     return float(np.dot(w, v - v**2))
 

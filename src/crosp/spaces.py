@@ -8,7 +8,6 @@ constant gamma(Q), the mean chordal distance, and uniform sampling.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -23,7 +22,6 @@ __all__ = [
     "SpaceSpec",
     "Point",
     "PointSet",
-    "RadiusMeasure",
     "make_space",
     "parse_space",
     "catalog",
@@ -227,70 +225,6 @@ def _check_rows(space: SpaceSpec, X: np.ndarray) -> None:
         if fam is Family.SPHERE:
             raise DomainError("sphere point is not on the unit sphere")
         raise DomainError("projective representative must have unit norm")
-
-
-@dataclass(frozen=True)
-class RadiusMeasure:
-    """A finite measure on the radius interval [0, pi].
-
-    The canonical choice has density sin(r) dr (total mass 2); any other
-    measure is a finite nonnegative quadrature combination of point masses.
-    """
-
-    kind: str  # "sine" | "quadrature"
-    nodes: tuple = ()
-    weights: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in ("sine", "quadrature"):
-            raise DomainError(f"unknown measure kind {self.kind!r}")
-        if self.kind == "quadrature":
-            nodes = np.asarray(self.nodes, float)
-            weights = np.asarray(self.weights, float)
-            if nodes.shape != weights.shape:
-                raise DomainError("nodes and weights must have matching shapes")
-            # written so that a NaN fails the check
-            if not np.all((nodes >= 0) & (nodes <= math.pi)):
-                raise DomainError("measure nodes must lie in [0, pi]")
-            if not np.all(np.isfinite(weights) & (weights >= 0)):
-                raise DomainError("measure weights must be finite and nonnegative")
-
-    @classmethod
-    def canonical(cls) -> "RadiusMeasure":
-        return cls("sine")
-
-    @classmethod
-    def from_nodes(cls, nodes, weights) -> "RadiusMeasure":
-        return cls("quadrature", tuple(float(r) for r in nodes),
-                   tuple(float(w) for w in weights))
-
-    @property
-    def total_mass(self) -> float:
-        if self.kind == "sine":
-            return 2.0
-        return float(sum(self.weights))
-
-    def rule(self):
-        """(nodes, weights) integrating f(r) against the measure on [0, pi].
-
-        The sine density uses a 64-node Gauss-Legendre rule mapped to
-        [0, pi]; a point-mass measure is its own rule.
-        """
-        if self.kind == "sine":
-            return _sine_rule()
-        return np.asarray(self.nodes, float), np.asarray(self.weights, float)
-
-
-@functools.cache
-def _sine_rule():
-    """The sine density's read-only rule, built on first use: it imports
-    numpy.polynomial, which no other code path needs."""
-    x, w = np.polynomial.legendre.leggauss(64)
-    r = (x + 1) * (math.pi / 2)
-    rule = (r, (math.pi / 2) * w * np.sin(r))
-    for arr in rule:
-        arr.setflags(write=False)
-    return rule
 
 
 # ---------------------------------------------------------------------------

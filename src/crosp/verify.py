@@ -19,7 +19,7 @@ import numpy as np
 from . import discrepancy as disc
 from . import harmonic, spaces
 from .errors import CrospError, DomainError
-from .spaces import RadiusMeasure, SpaceSpec, catalog, make_space
+from .spaces import SpaceSpec, catalog, make_space
 from .specfun import Hyp3F2Params, beta, check_order, hyp3f2_unit, rising, watson_rhs
 
 __all__ = [
@@ -142,13 +142,12 @@ def verify_coeff_chain(space: SpaceSpec, tol: float = 1e-9) -> VerificationRepor
     gam = spaces.gamma_const(space)
     inv_b = 1.0 / beta(d / 2, d0 / 2)
     tally = _Tally()
-    measure = RadiusMeasure.canonical()
     for l in range(1, _CHAIN_L_MAX + 1):
         with tally.item(f"l={l}: "):
             closed = harmonic.jacobi_sq_integral(l - 1, d / 2, d0 / 2, route="closed")
             quad = harmonic.jacobi_sq_integral(l - 1, d / 2, d0 / 2, route="quadrature")
             tally.compare(quad, closed)
-            a_l = harmonic.radial_weight(space, l, measure)
+            a_l = harmonic.radial_weight(space, l)
             tally.compare(gam * a_l * inv_b / l**2, harmonic.chordal_coeff(space, l) / 2)
     return tally.report(
         "coefficient-chain", f"space={space}, 1 <= l <= {_CHAIN_L_MAX}", tol,

@@ -118,17 +118,15 @@ def test_criterion_5_watson_closed_form():
 def test_criterion_6_coefficient_chain():
     """Radial weights against chordal coefficients, l <= 20, every space."""
     from crosp.harmonic import chordal_coeff, level_weight, radial_weight
-    from crosp.spaces import RadiusMeasure
     from crosp.specfun import beta as beta_fn
 
-    canon = RadiusMeasure.canonical()
     worst = 0.0
     for code in ALL_CODES:
         space = parse_space(code)
         gam = gamma_const(space)
         inv_b = 1.0 / beta_fn(space.d / 2, space.d0 / 2)
         for l in range(1, 21):
-            lhs = gam * radial_weight(space, l, canon) * inv_b / l**2
+            lhs = gam * radial_weight(space, l) * inv_b / l**2
             rhs = chordal_coeff(space, l) / 2
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
             closed = jacobi_sq_integral(l - 1, space.d / 2, space.d0 / 2, "closed")

@@ -448,11 +448,13 @@ class TestStartup:
 
     def test_sine_rule_built_on_first_use(self):
         # numpy.polynomial (the Gauss-Legendre nodes) loads with the first
-        # rule() of the sine measure, not with crosp; later calls share it
+        # avg_symdiff, which reads the sine rule, not with crosp; later calls
+        # share the rule
         out = self._python("-c", "import sys, crosp.cli; "
-                                 "from crosp.spaces import RadiusMeasure; "
+                                 "from crosp import harmonic, spaces; "
                                  "before = 'numpy.polynomial' in sys.modules; "
-                                 "a, b = RadiusMeasure.canonical().rule(), RadiusMeasure('sine').rule(); "
+                                 "harmonic.avg_symdiff(spaces.parse_space('s2')); "
+                                 "a, b = harmonic._sine_rule(), harmonic._sine_rule(); "
                                  "print(before, 'numpy.polynomial' in sys.modules, "
                                  "a[0] is b[0] and a[1] is b[1], "
                                  "a[0].flags.writeable or a[1].flags.writeable)")

@@ -12,13 +12,12 @@ import pytest
 
 from crosp import discrepancy, harmonic, spaces
 from crosp.discrepancy import (
+    McEstimate,
     discrepancy_closed,
     discrepancy_mc,
     discrepancy_series,
     invariance_residual,
-    lp_symdiff,
     pair_sum,
-    symdiff_direct,
 )
 from crosp.errors import DomainError, UnsupportedSpaceError
 from crosp.harmonic import avg_symdiff, expansion_coeffs, symdiff_series
@@ -586,6 +585,33 @@ class TestCountWithin:
             assert self._block_counts(space, X, G * 2.0**j, cos_r).tolist() == got.tolist()
 
 
+def symdiff_direct(space, x, y, mc_samples=100_000, seed=0):
+    """Symmetric-difference distance by quadrature over radii with Monte Carlo
+    volume estimates of the ball intersections.
+
+    Independent of the zonal expansion: the stochastic oracle of
+    ``symdiff_series``.  It nests the other way round from
+    ``discrepancy_mc``: an outer sine rule over the radius, inner membership
+    counting of uniform samples, drawn in the blocks of ``discrepancy_mc``
+    keyed by ``seed``.  ``x`` and ``y`` are Points of ``space`` or their
+    coordinates.
+    """
+    pair = np.stack([spaces._as_data(space, x), spaces._as_data(space, y)])
+    r_nodes, r_weights = harmonic._sine_rule()
+    const = float(np.dot(r_weights, ball_volume(space, r_nodes)))
+    cos_r = np.cos(r_nodes)
+
+    def block_values(stream, count):
+        z = sample_uniform(space, count, stream).points
+        # z lies in both balls of radius r exactly when it lies in the ball
+        # around the farther of x and y, the one of smaller cos theta
+        cos_far = cos_geodesic_matrix(space, pair, z).min(axis=0)
+        return (cos_far[:, None] > cos_r) @ r_weights
+
+    mean, stderr = discrepancy._mc_mean(block_values, mc_samples, seed)
+    return McEstimate(const - mean, stderr, mc_samples, seed)
+
+
 class TestSymdiffDirect:
     def test_same_point_vanishes(self):
         x = Point(S2, np.array([0.0, 0.0, 1.0]))
@@ -613,41 +639,18 @@ class TestSymdiffDirect:
         est = symdiff_direct(S2, x, y, mc_samples=200_000, seed=34)
         assert abs(est.value - symdiff_series(S2, theta)) <= 3 * est.stderr
 
-    def test_given_rng_fixes_result(self):
-        x = Point(S2, np.array([0.0, 0.0, 1.0]))
-        y = Point(S2, np.array([1.0, 0.0, 0.0]))
-        a = symdiff_direct(S2, x, y, mc_samples=10_000, rng=np.random.default_rng(35))
-        b = symdiff_direct(S2, x, y, mc_samples=10_000, rng=np.random.default_rng(35))
-        c = symdiff_direct(S2, x, y, mc_samples=10_000, rng=np.random.default_rng(36))
-        assert a == b
-        assert a != c
-        # the reported seed is the root the rng drew, so it reproduces a
-        assert symdiff_direct(S2, x, y, mc_samples=10_000, seed=a.seed) == a
 
-
-class TestLpSymdiff:
-    def test_first_power_is_identity(self):
-        theta = 1.3
-        assert lp_symdiff(S2, theta, p=1) == symdiff_series(S2, theta)
-
-    def test_square_root_at_diameter(self):
-        val = lp_symdiff(S2, math.pi, p=2, tol=1e-9)
-        assert val == pytest.approx(math.sqrt(0.5), abs=1e-8)
-
+class TestSymdiffMetric:
     def test_triangle_inequality_on_point_triples(self):
+        # the symmetric-difference distance is a metric
         rng = np.random.default_rng(41)
-        for p in (1.0, 2.0, 3.5):
-            for _ in range(20):
-                pts = sample_uniform(S2, 3, rng)
-                dm = geodesic_matrix(S2, pts.points)
-                d_xy = lp_symdiff(S2, dm[0, 1], p=p)
-                d_yz = lp_symdiff(S2, dm[1, 2], p=p)
-                d_xz = lp_symdiff(S2, dm[0, 2], p=p)
-                assert d_xz <= d_xy + d_yz + 1e-10
-
-    def test_requires_p_at_least_one(self):
-        with pytest.raises(DomainError):
-            lp_symdiff(S2, 1.0, p=0.5)
+        for _ in range(20):
+            pts = sample_uniform(S2, 3, rng)
+            dm = geodesic_matrix(S2, pts.points)
+            d_xy = symdiff_series(S2, dm[0, 1])
+            d_yz = symdiff_series(S2, dm[1, 2])
+            d_xz = symdiff_series(S2, dm[0, 2])
+            assert d_xz <= d_xy + d_yz + 1e-10
 
 
 class TestInvarianceResidual:
@@ -685,8 +688,6 @@ class TestArgumentChecks:
     error, a silent truncation or a wrong-shaped result."""
 
     PTS = sample_uniform(S2, 5, np.random.default_rng(60))
-    X = np.array([0.0, 0.0, 1.0])
-    Y = np.array([1.0, 0.0, 0.0])
     RP2_POINT = Point(parse_space("rp2"), np.array([[1.0], [0.0], [0.0]]))
     CALLS = {
         "make_space_nan": lambda c: make_space("s", math.nan),
@@ -697,13 +698,9 @@ class TestArgumentChecks:
         "mc_samples_fraction": lambda c: discrepancy_mc(S2, c.PTS, 2.5),
         "mc_seed_negative": lambda c: discrepancy_mc(S2, c.PTS, 100, seed=-1),
         "mc_seed_fraction": lambda c: discrepancy_mc(S2, c.PTS, 100, seed=1.5),
-        "symdiff_samples_nan": lambda c: symdiff_direct(S2, c.X, c.Y, mc_samples=math.nan),
-        "symdiff_seed_negative": lambda c: symdiff_direct(S2, c.X, c.Y, seed=-1),
-        "symdiff_foreign_points": lambda c: symdiff_direct(S2, c.RP2_POINT, c.RP2_POINT),
         "residual_samples_nan": lambda c: invariance_residual(S2, c.PTS, route="mc",
                                                               samples=math.nan),
         "embed_foreign_point": lambda c: embed(S2, c.RP2_POINT),
-        "lp_p_nan": lambda c: lp_symdiff(S2, 1.0, p=math.nan),
         "coeffs_order_nan": lambda c: expansion_coeffs(S2, L=math.nan),
     }
 
@@ -725,7 +722,6 @@ class TestArgumentChecks:
         theta = np.array([0.5, 1.0])
         for call in (lambda: discrepancy_series(S2, self.PTS, tol=tol),
                      lambda: symdiff_series(S2, theta, tol=tol),
-                     lambda: harmonic.chordal_series(S2, theta, tol=tol),
-                     lambda: lp_symdiff(S2, theta, p=2.0, tol=tol)):
+                     lambda: harmonic.chordal_series(S2, theta, tol=tol)):
             with pytest.raises(DomainError, match="finite and positive"):
                 call()

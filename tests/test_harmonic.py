@@ -26,13 +26,11 @@ from crosp.harmonic import (
     symdiff_series,
     zonal_phi,
 )
-from crosp.spaces import RadiusMeasure, avg_chordal, gamma_const, parse_space
+from crosp.spaces import avg_chordal, gamma_const, parse_space
 from crosp.specfun import (beta, gauss_jacobi, jacobi_at_one, jacobi_eval, jacobi_rows,
                            rising)
 
 ALL_CODES = ["s1", "s2", "s3", "rp2", "cp2", "hp2", "op2"]
-CANON = RadiusMeasure.canonical()
-POINT_MASSES = RadiusMeasure.from_nodes([0.4, 1.1, 2.0], [0.2, 0.5, 0.3])
 
 
 class TestZonal:
@@ -64,7 +62,7 @@ class TestZonal:
 
 
 @pytest.mark.parametrize("fn", [
-    level_weight, chordal_coeff, lambda space, l: radial_weight(space, l, CANON),
+    level_weight, chordal_coeff, radial_weight,
     lambda space, l: zonal_phi(space, l, 1.0),
     *(lambda space, l, f=f: f(l, 0.5, 0.5)
       for f in (poch_ratio, leibniz_sum, leibniz_closed, jacobi_sq_integral)),
@@ -166,18 +164,13 @@ class TestLargeLevelOracle:
         # an absolute error of log c_l is the relative error of c_l
         assert float(harmonic._log_chordal_coeff(space, ls)[0]) == pytest.approx(
             float(log_c), rel=0, abs=1e-13)
-        assert radial_weight(space, l, CANON) == pytest.approx(float(a_l), rel=1e-13)
+        assert radial_weight(space, l) == pytest.approx(float(a_l), rel=1e-13)
 
 
 class TestRadialWeight:
     def test_two_sphere_level_one(self):
         s2 = parse_space("s2")
-        assert radial_weight(s2, 1, CANON) == pytest.approx(1 / 15, rel=1e-13)
-
-    def test_zero_mass_measure(self):
-        s2 = parse_space("s2")
-        empty = RadiusMeasure.from_nodes([], [])
-        assert radial_weight(s2, 3, empty) == 0.0
+        assert radial_weight(s2, 1) == pytest.approx(1 / 15, rel=1e-13)
 
     @pytest.mark.parametrize("code,l", [("s3", 3), ("s2", 1), ("cp2", 4), ("op2", 2)])
     def test_closed_vs_quadrature(self, code, l):
@@ -190,13 +183,7 @@ class TestRadialWeight:
                                 [jacobi_eval(l - 1, d / 2, d0 / 2, t) ** 2
                                  for t in rule.nodes]))
         expected = 2.0 ** (-d - d0) * integral
-        assert radial_weight(space, l, CANON) == pytest.approx(expected, rel=1e-10)
-
-    def test_discrete_measure_positive(self):
-        s2 = parse_space("s2")
-        m = RadiusMeasure.from_nodes([0.4, 1.1, 2.0], [0.2, 0.5, 0.3])
-        for l in (1, 2, 6):
-            assert radial_weight(s2, l, m) >= 0.0
+        assert radial_weight(space, l) == pytest.approx(expected, rel=1e-10)
 
 
 class TestPochRatio:
@@ -338,24 +325,9 @@ class TestSeries:
         tols = np.concatenate([np.where(np.arange(600) % 10 == 0, 1e-5, 1e-3),
                                np.full(120, 1e-3)])[perm]
         assert len(list(harmonic._series_chunks(np.sort(thetas)))) >= 3
-        for measure in (CANON, POINT_MASSES):
-            together = symdiff_series(space, thetas, measure, tols)
-            alone = [symdiff_series(space, th, measure, tol) for th, tol in zip(thetas, tols)]
-            assert np.array_equal(together, alone)
-
-    def test_discretized_measure_approximates_canonical(self):
-        # the canonical density sampled on a Gauss grid reproduces the
-        # closed-measure values up to the measure's own discretization
-        # error (a 64-node rule cannot resolve coefficient levels >~ 64,
-        # which carry ~1e-5 of the total here)
-        space = parse_space("s2")
-        x, w = np.polynomial.legendre.leggauss(64)
-        r = (x + 1) * math.pi / 2
-        m = RadiusMeasure.from_nodes(r, (math.pi / 2) * w * np.sin(r))
-        for theta in (0.4, 1.5, 2.8):
-            approx_val = symdiff_series(space, theta, m, tol=1e-7)
-            exact_val = symdiff_series(space, theta, tol=1e-9)
-            assert approx_val == pytest.approx(exact_val, abs=1e-4)
+        together = symdiff_series(space, thetas, tols)
+        alone = [symdiff_series(space, th, tol) for th, tol in zip(thetas, tols)]
+        assert np.array_equal(together, alone)
 
     def test_nonconvergence_raises(self):
         with pytest.raises(ConvergenceError):
@@ -479,12 +451,6 @@ class TestSeriesMatchesPerDegreeLoop:
         assert np.array_equal(value, reference)
 
     @pytest.mark.parametrize("code", ALL_CODES)
-    def test_symdiff_grid_point_masses(self, monkeypatch, code):
-        value, reference = _with_reference_loop(
-            monkeypatch, symdiff_series, parse_space(code), GRID, POINT_MASSES, 1e-6)
-        assert np.array_equal(value, reference)
-
-    @pytest.mark.parametrize("code", ALL_CODES)
     def test_chordal_grid(self, monkeypatch, code):
         value, reference = _with_reference_loop(
             monkeypatch, chordal_series, parse_space(code), GRID, tol=1e-8)
@@ -531,8 +497,11 @@ class TestAvgSymdiff:
     def test_two_sphere(self):
         assert avg_symdiff(parse_space("s2")) == pytest.approx(1 / 3, abs=1e-13)
 
-    def test_zero_mass(self):
-        assert avg_symdiff(parse_space("s2"), RadiusMeasure.from_nodes([], [])) == 0.0
+    def test_sine_rule_total_mass(self):
+        # sin(r) dr has mass 2 on [0, pi]; the rule's nodes lie inside it
+        nodes, weights = harmonic._sine_rule()
+        assert math.fsum(weights) == pytest.approx(2.0, rel=1e-14)
+        assert np.all((nodes > 0) & (nodes < math.pi))
 
 
 class TestCoefficientTable:
@@ -540,7 +509,7 @@ class TestCoefficientTable:
     def test_mean_identity(self, code):
         # half the total coefficient mass equals the mean chordal distance
         space = parse_space(code)
-        table = expansion_coeffs(space, CANON, SERIES_CAP)
+        table = expansion_coeffs(space)
         total = 0.5 * (float(np.sum(table.m_l * table.c_l)) + table.tail_bound)
         assert total == pytest.approx(avg_chordal(space), abs=1e-12)
 
@@ -556,7 +525,7 @@ class TestCoefficientTable:
     @pytest.mark.parametrize("code", ALL_CODES)
     def test_tail_bound_dominates(self, code):
         space = parse_space(code)
-        table = expansion_coeffs(space, CANON, SERIES_CAP)
+        table = expansion_coeffs(space)
         partial = float(np.sum(table.m_l[5000:] * table.c_l[5000:]))
         assert coeff_tail(space, 5001) >= partial
         assert table.tail_bound >= 0.0
@@ -569,30 +538,28 @@ class TestCoefficientTable:
         gam = gamma_const(space)
         inv_b = 1.0 / beta(space.d / 2, space.d0 / 2)
         for l in (3, 50, 2000):
-            t_sym = inv_b * level_weight(space, l) * radial_weight(space, l, CANON) / l**2
+            t_sym = inv_b * level_weight(space, l) * radial_weight(space, l) / l**2
             expected = (coeff_tail(space, l) - coeff_tail(space, l + 1)) / (2 * gam)
             assert t_sym == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("code", ALL_CODES)
-    @pytest.mark.parametrize("measure", [CANON, POINT_MASSES], ids=["sine", "point-masses"])
-    def test_table_matches_scalar_functions(self, code, measure):
+    def test_table_matches_scalar_functions(self, code):
         # the table the series engine sums and the scalar exports share one
         # formula each; l = 159/160 straddles the chordal cross-check cutoff
         space = parse_space(code)
-        table = expansion_coeffs(space, measure, SERIES_CAP)
+        table = expansion_coeffs(space)
         for l in (1, 2, 17, 159, 160, 2000):
             assert table.m_l[l - 1] == pytest.approx(level_weight(space, l), rel=1e-12)
             assert table.c_l[l - 1] == pytest.approx(chordal_coeff(space, l), rel=1e-12)
-            assert table.a_l[l - 1] == pytest.approx(radial_weight(space, l, measure),
-                                                     rel=1e-12)
+            assert table.a_l[l - 1] == pytest.approx(radial_weight(space, l), rel=1e-12)
 
     def test_cache_identity(self):
         s2 = parse_space("s2")
-        assert expansion_coeffs(s2, CANON, 1000) is expansion_coeffs(s2, CANON, 1000)
+        assert expansion_coeffs(s2, 1000) is expansion_coeffs(s2, 1000)
 
     def test_positive_finite(self):
         for code in ALL_CODES:
-            table = expansion_coeffs(parse_space(code), CANON, 2000)
+            table = expansion_coeffs(parse_space(code), 2000)
             for arr in (table.m_l, table.c_l, table.a_l):
                 assert np.all(np.isfinite(arr))
             assert np.all(table.c_l > 0)

@@ -14,7 +14,6 @@ from crosp.spaces import (
     Family,
     Point,
     PointSet,
-    RadiusMeasure,
     avg_chordal,
     ball_volume,
     catalog,
@@ -565,22 +564,3 @@ class TestPointValidation:
         rp2_point = Point(parse_space("rp2"), np.array([[1.0], [0.0], [0.0]]))
         with pytest.raises(DomainError, match="belongs to rp2, expected s2"):
             PointSet.from_points(s2, [np.array([0.0, 0.0, 1.0]), rp2_point])
-
-
-class TestRadiusMeasure:
-    def test_canonical_mass(self):
-        assert RadiusMeasure.canonical().total_mass == 2.0
-
-    def test_quadrature_validation(self):
-        with pytest.raises(DomainError):
-            RadiusMeasure.from_nodes([0.5, 4.0], [1.0, 1.0])
-        with pytest.raises(DomainError):
-            RadiusMeasure.from_nodes([0.5], [-1.0])
-
-    def test_nan_node_rejected(self):
-        with pytest.raises(DomainError):
-            RadiusMeasure.from_nodes([math.nan, 1.0], [0.5, 0.5])
-
-    def test_quadrature_mass(self):
-        m = RadiusMeasure.from_nodes([0.5, 1.5], [0.25, 0.5])
-        assert m.total_mass == 0.75
