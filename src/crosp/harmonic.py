@@ -18,15 +18,17 @@ every open angle is tested, with array masks, for three acceptance paths:
 a coefficient-tail certificate, two consecutive stable refinements, or a
 relaxed check at the hard cap of 10^4 terms.  The tail is exact (a
 telescoped antidifference), so the first path is a certificate.
-A chunk of angles keeps only the last partial sums that a window can read,
-in a ring sized from a fixed entry budget.  The degrees between two
-checkpoints go through in blocks of ``specfun._JACOBI_BLOCK``: the recurrence
-yields a block of rows, scaled by 1/P_l(1) and t_l in two array operations
-and added to the ring one row per degree.  At each checkpoint the accepted
-angles are dropped from the recurrence, the ring and every per-angle array,
-so they cost nothing after it.  Each kept angle sees the same operations in
-the same order either way, so every value is bit-identical to the angle
-summed alone.
+A window spans at most half the degrees up to its checkpoint, and each
+checkpoint at least doubles the one before, so no window reaches back past
+the previous checkpoint: each angle needs only its running partial sum and
+a running sum of the partial sums in its window, reset at each checkpoint.
+The degrees between two checkpoints go through in blocks of
+``specfun._JACOBI_BLOCK``: the recurrence yields a block of rows, scaled by
+1/P_l(1) and t_l in two array operations and added to the running sums one
+row per degree.  At each checkpoint the accepted angles are dropped from
+the recurrence and every per-angle array, so they cost nothing after it.
+Each kept angle sees the same elementwise operations in the same order
+either way, so every value is bit-identical to the angle summed alone.
 
 The coefficient formulas are products of gamma-function ratios
 Gamma(l + h1) / Gamma(l + h2), each taken as one ``specfun._lgamma_diff``,
@@ -70,10 +72,10 @@ __all__ = [
 ]
 
 SERIES_CAP = 10_000
+# each at least twice the one before, as the running window sum of
+# _series_chunk needs
 _CHECKPOINTS = (156, 312, 625, 1250, 2500, 5000, SERIES_CAP)
-# entries of the ring of partial sums one series chunk holds (4 MB of
-# float64), and the most angles one chunk takes
-_SERIES_RING_ENTRIES = 2**19
+# the most angles one series chunk takes: it bounds the block of Jacobi rows
 _SERIES_MAX_ANGLES = 4096
 
 
@@ -232,6 +234,8 @@ def _adaptive_series(space, theta, t_l, tail_fn, tol):
     oscillation-resolution floor, or a relaxed Richardson-style check at the
     hard cap.  ``tol`` may be a scalar or a per-theta array of absolute
     tolerances, checked by ``check_tol``.  A scalar ``theta`` gives a float.
+    The nonzero angles go through ``_series_chunk`` in ascending order, at
+    most ``_SERIES_MAX_ANGLES`` at a time.
     """
     thetas = np.atleast_1d(np.asarray(theta, dtype=float))
     if not np.all((thetas >= 0) & (thetas <= math.pi + 1e-12)):
@@ -242,8 +246,8 @@ def _adaptive_series(space, theta, t_l, tail_fn, tol):
     order = active[np.argsort(thetas[active])]
     a, b = _jacobi_params(space)
     H = np.cumsum(t_l)
-    for chunk in _series_chunks(thetas[order]):
-        idx = order[chunk]
+    for start in range(0, order.size, _SERIES_MAX_ANGLES):
+        idx = order[start:start + _SERIES_MAX_ANGLES]
         values[idx] = _series_chunk(thetas[idx], t_l, H, tail_fn, tols[idx], a, b)
     if np.ndim(theta) == 0:
         return float(values[0])
@@ -255,47 +259,33 @@ def _full_windows(th):
     return np.minimum(np.ceil(2 * math.pi / th), SERIES_CAP).astype(int)
 
 
-def _ring_rows(winfull):
-    """Rows of partial sums that every window of these angles fits in.
-
-    A window at checkpoint l spans W <= min(winfull, l // 2) degrees.
-    """
-    return max(min(int(winfull.max()), SERIES_CAP // 2), 1)
-
-
-def _series_chunks(th):
-    """Slices of the ascending angles ``th`` that go through one chunk each.
-
-    The first angle of a chunk has its widest window, so it sets the ring
-    height; a chunk takes as many angles as fit in _SERIES_RING_ENTRIES.
-    """
-    winfull = _full_windows(th)
-    start = 0
-    while start < th.size:
-        fit = _SERIES_RING_ENTRIES // _ring_rows(winfull[start:start + 1])
-        stop = min(start + max(1, min(fit, _SERIES_MAX_ANGLES)), th.size)
-        yield slice(start, stop)
-        start = stop
-
-
 def _series_chunk(th, t_l, H, tail_fn, tols, a, b):
+    """Series values at the ascending angles ``th``, by ``_adaptive_series``'s rules.
+
+    Each open angle keeps two running sums: ``psum``, its partial sum
+    sum_{k <= m} t_k phi_k(theta), and ``wsum``, the sum of the partial sums
+    in the window of the next checkpoint l, degrees l - W + 1 .. l with
+    W <= l // 2.  Each checkpoint at least doubles the one before, so every
+    window opens after the previous checkpoint, where ``wsum`` was reset.
+    The angles ascend, so their windows narrow and open later: the angles
+    whose window holds degree m are a prefix of the open ones.
+    """
     cap = SERIES_CAP
     winfull = _full_windows(th)
     osc_floor = 6.0 * 2 * math.pi / th
-    # ring[l % R] = sum_{k <= l} t_k phi_k(theta), one column per open angle:
-    # the last R degrees are all that any window reads
-    R = _ring_rows(winfull)
-    ring = np.empty((R, th.size))
-    ring[0] = 0.0
-    cols = np.arange(th.size)  # position in the chunk of each open column
+    psum = np.zeros(th.size)
+    wsum = np.zeros(th.size)
+    cols = np.arange(th.size)  # position in the chunk of each open angle
     vals = np.empty(th.size)
     consec = np.zeros(th.size, dtype=int)
     # NaN compares false, so no refinement counts as stable at the first checkpoint
     prev_vhat = np.full(th.size, np.nan)
     rec = _JacobiRecurrence(a, b, np.cos(th))
     pone = 1.0  # P_l(1)
-    l = 0  # the last degree in the ring
+    l = 0  # the last degree summed
     for checkpoint in _CHECKPOINTS:
+        W = np.maximum(np.minimum(winfull, checkpoint // 2), 1)
+        first = checkpoint - W + 1  # ascending, since W does not grow with theta
         while l < checkpoint:
             # phi_0 = 1 drops out of 1 - phi_l, so the sum starts at degree 1,
             # where the recurrence starts
@@ -307,10 +297,13 @@ def _series_chunk(th, t_l, H, tail_fn, tols, a, b):
                 pones.append(pone)
             rows /= np.array(pones)[:, None]
             rows *= t_l[lo - 1:l, None]
-            for m, row in enumerate(rows, lo):
-                np.add(ring[(m - 1) % R], row, out=ring[m % R])
-        W = np.maximum(np.minimum(winfull, l // 2), 1)
-        vhat = H[l - 1] + tail_fn(l) - _window_means(ring, l, W)
+            # the open angles whose window holds each degree of the block
+            ks = np.searchsorted(first, np.arange(lo, l + 1), side="right")
+            for row, k in zip(rows, ks.tolist()):
+                psum += row
+                if k:
+                    wsum[:k] += psum[:k]
+        vhat = H[l - 1] + tail_fn(l) - wsum / W
         step = np.abs(vhat - prev_vhat)
         stable = (step < tols / 4) & (l >= 625) & (l >= osc_floor)
         consec = np.where(stable, consec + 1, 0)
@@ -327,33 +320,14 @@ def _series_chunk(th, t_l, H, tail_fn, tols, a, b):
         keep = np.flatnonzero(~accept)
         if not keep.size:
             break
-        # accepted angles cost nothing from here on: the recurrence, the ring
-        # and every per-angle array keep the open columns only
+        # accepted angles cost nothing from here on: the recurrence and every
+        # per-angle array keep the open angles only, still in ascending order
         rec.compact(keep)
-        ring = ring[:, keep]
+        psum, wsum = psum[keep], np.zeros(keep.size)
         th, winfull, osc_floor, tols, cols = (th[keep], winfull[keep], osc_floor[keep],
                                               tols[keep], cols[keep])
         consec, prev_vhat = consec[keep], vhat[keep]
     return vals
-
-
-def _window_means(ring, l, W):
-    """Mean of the partial sums of degrees l - W_k + 1 .. l in column k.
-
-    The partial sum of degree i is row i % len(ring) of ``ring``.  Each
-    window is reduced as its own contiguous segment, in degree order, so its
-    mean depends on its own column only, never on the other angles of the
-    chunk or on the height of the ring.
-    """
-    width = int(W.max())
-    degrees = np.arange(l - width + 1, l + 1) % len(ring)
-    # one row per column, windows right-aligned
-    block = ring[degrees[None, :], np.arange(W.size)[:, None]]
-    ends = np.arange(1, W.size + 1) * width
-    bounds = np.empty(2 * W.size - 1, dtype=np.intp)
-    bounds[0::2] = ends - W
-    bounds[1::2] = ends[:-1]
-    return np.add.reduceat(block.ravel(), bounds)[0::2] / W
 
 
 def _symdiff_coeffs(space):

@@ -30,7 +30,6 @@ __all__ = [
     "reg_inc_beta",
     "rising",
     "falling",
-    "jacobi_rows",
     "jacobi_eval",
     "jacobi_at_one",
     "gauss_jacobi",
@@ -386,25 +385,6 @@ def _jacobi_row(n, alpha, beta_, t):
     while rec.degree < n:
         rec.advance(n)
     return rec.p_cur
-
-
-def jacobi_rows(alpha, beta_, t):
-    """Yield P_0, P_1, P_2, ... of P_n^{(alpha, beta)}(t) without end.
-
-    Built on ``_JacobiRecurrence``, a block of degrees at a time.  ``t`` may
-    be a float (the rows are then floats) or an array (evaluated
-    elementwise); the caller checks the domain.
-    """
-    if not np.ndim(t):
-        # a float is stepped as a one-element array, which rounds the same way
-        for row in jacobi_rows(alpha, beta_, np.array([t], dtype=float)):
-            yield float(row[0])
-        return
-    rec = _JacobiRecurrence(alpha, beta_, t)
-    yield rec.p_prev
-    yield rec.p_cur
-    while True:
-        yield from rec.advance()
 
 
 def jacobi_eval(n, alpha, beta_, t):

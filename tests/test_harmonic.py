@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -27,7 +28,7 @@ from crosp.harmonic import (
     zonal_phi,
 )
 from crosp.spaces import avg_chordal, gamma_const, parse_space
-from crosp.specfun import (beta, gauss_jacobi, jacobi_at_one, jacobi_eval, jacobi_rows,
+from crosp.specfun import (_JacobiRecurrence, beta, gauss_jacobi, jacobi_at_one, jacobi_eval,
                            rising)
 
 ALL_CODES = ["s1", "s2", "s3", "rp2", "cp2", "hp2", "op2"]
@@ -306,14 +307,14 @@ class TestSeries:
         vals = symdiff_series(space, thetas, tol=1e-8 / gam)
         assert np.max(np.abs(np.sin(thetas / 2) - gam * vals)) <= 1e-8
 
-    def test_vector_scalar_agree(self):
+    def test_vector_scalar_agree(self, monkeypatch):
         space = parse_space("s3")
         th = 1.234
         assert symdiff_series(space, np.array([th]))[0] == symdiff_series(space, th)
         # each value depends on its own angle only: 600 angles on [0.05, pi]
         # and 120 small ones, whose windows span thousands of degrees, are
-        # shuffled together.  They fill three chunks of the series ring, and
-        # every value must equal, bit for bit, the angle evaluated alone.
+        # shuffled together.  With 256 angles a chunk they fill three chunks,
+        # and every value must equal, bit for bit, the angle evaluated alone.
         # Every tenth of the 600 asks for 1e-5, which the tail cannot certify
         # within the cap, so the stable-refinement path is exercised as well
         # as the tail path.
@@ -324,10 +325,33 @@ class TestSeries:
                                  np.geomspace(1.2e-3, 4e-3, 120)])[perm]
         tols = np.concatenate([np.where(np.arange(600) % 10 == 0, 1e-5, 1e-3),
                                np.full(120, 1e-3)])[perm]
-        assert len(list(harmonic._series_chunks(np.sort(thetas)))) >= 3
+        monkeypatch.setattr(harmonic, "_SERIES_MAX_ANGLES", 256)
         together = symdiff_series(space, thetas, tols)
         alone = [symdiff_series(space, th, tol) for th, tol in zip(thetas, tols)]
         assert np.array_equal(together, alone)
+
+    def test_memory_linear_in_angles(self):
+        # 200 small angles, whose windows span thousands of degrees, hold two
+        # running sums each and one block of Jacobi rows, not a history of
+        # partial sums (a 5000-row one would take 8 MB)
+        space = parse_space("s2")
+        thetas = np.geomspace(1.2e-3, 4e-3, 200)
+        symdiff_series(space, thetas[:1], tol=1e-3)  # builds the cached table
+        tracemalloc.start()
+        try:
+            symdiff_series(space, thetas, tol=1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    def test_windows_stay_past_the_previous_checkpoint(self):
+        # a window at checkpoint c spans at most c // 2 degrees, so the one
+        # running window sum per angle needs it to open after the checkpoint
+        # before c
+        checkpoints = (0,) + harmonic._CHECKPOINTS
+        for prev, c in zip(checkpoints, checkpoints[1:]):
+            assert c - c // 2 >= prev
 
     def test_nonconvergence_raises(self):
         with pytest.raises(ConvergenceError):
@@ -349,15 +373,17 @@ class TestSeries:
 
 
 # ---------------------------------------------------------------------------
-# the series engine against a copy of its earlier per-degree loop
+# the series engine against a per-degree reference loop
 #
-# Before the recurrence advanced in blocks and accepted angles were dropped at
-# each checkpoint, every degree was one step of the generator below and one
-# update of every column of the ring.  The copy stays here as the reference:
-# the block engine must reproduce it bit for bit, because each kept angle sees
-# the same operations in the same order.  Values are compared against the
-# copy run on this machine, not against stored hashes, since numpy's cos may
-# round differently by one ulp on another CPU.
+# Every degree is one step of the generator below and one update of the
+# running sums of every angle, open or not, and each window is defined
+# directly: the sum of the partial sums of the W degrees that end on its
+# checkpoint.  The engine advances the recurrence in blocks, drops accepted
+# angles at each checkpoint and adds to the window sums of a prefix of the
+# sorted angles only; it must reproduce this loop bit for bit, because each
+# kept angle sees the same elementwise operations in the same order.  Values
+# are compared against the loop run on the same CPU, not against stored
+# hashes, since numpy's cos may round differently by one ulp on another CPU.
 
 
 def _reference_jacobi_rows(alpha, beta_, t):
@@ -376,14 +402,21 @@ def _reference_jacobi_rows(alpha, beta_, t):
         yield p_cur
 
 
+def _recurrence_rows(alpha, beta_, t):
+    """P_0, P_1, P_2, ... from ``_JacobiRecurrence``, a block of degrees at a time."""
+    rec = _JacobiRecurrence(alpha, beta_, t)
+    yield rec.p_prev
+    yield rec.p_cur
+    while True:
+        yield from rec.advance()
+
+
 def _reference_series_chunk(th, t_l, H, tail_fn, tols, a, b):
     cap = SERIES_CAP
     n = th.size
     winfull = harmonic._full_windows(th)
     osc_floor = 6.0 * 2 * math.pi / th
-    R = harmonic._ring_rows(winfull)
-    ring = np.empty((R, n))
-    ring[0] = 0.0
+    psum = np.zeros(n)
     is_open = np.ones(n, dtype=bool)
     vals = np.empty(n)
     consec = np.zeros(n, dtype=int)
@@ -391,19 +424,26 @@ def _reference_series_chunk(th, t_l, H, tail_fn, tols, a, b):
     rows = _reference_jacobi_rows(a, b, np.cos(th))
     next(rows)
     pone = 1.0
+    checkpoints = iter(harmonic._CHECKPOINTS)
+    checkpoint = 0
     for l, p in zip(range(1, cap + 1), rows):
+        if l > checkpoint:
+            # the window of the next checkpoint: the partial sums of its last W degrees
+            checkpoint = next(checkpoints)
+            W = np.maximum(np.minimum(winfull, checkpoint // 2), 1)
+            wsum = np.zeros(n)
         pone = pone * (a + l) / l
-        ring[l % R] = ring[(l - 1) % R] + t_l[l - 1] * (p / pone)
-        if l not in harmonic._CHECKPOINTS:
+        psum = psum + t_l[l - 1] * (p / pone)
+        wsum = np.where(l > checkpoint - W, wsum + psum, wsum)
+        if l < checkpoint:
             continue
         j = np.flatnonzero(is_open)
         tol = tols[j]
-        W = np.maximum(np.minimum(winfull[j], l // 2), 1)
-        vhat = H[l - 1] + tail_fn(l) - _reference_window_means(ring, l, j, W)
+        vhat = H[l - 1] + tail_fn(l) - wsum[j] / W[j]
         step = np.abs(vhat - prev_vhat[j])
         stable = (step < tol / 4) & (l >= 625) & (l >= osc_floor[j])
         consec[j] = np.where(stable, consec[j] + 1, 0)
-        accept = (tail_fn(np.maximum(1, l - W)) < tol) | (stable & (consec[j] >= 2))
+        accept = (tail_fn(np.maximum(1, l - W[j])) < tol) | (stable & (consec[j] >= 2))
         if l == cap:
             accept |= step / 4 < tol / 2
             if not accept.all():
@@ -418,17 +458,6 @@ def _reference_series_chunk(th, t_l, H, tail_fn, tols, a, b):
         if not is_open.any():
             break
     return vals
-
-
-def _reference_window_means(ring, l, cols, W):
-    width = int(W.max())
-    degrees = np.arange(l - width + 1, l + 1) % len(ring)
-    block = ring[degrees[None, :], cols[:, None]]
-    ends = np.arange(1, cols.size + 1) * width
-    bounds = np.empty(2 * cols.size - 1, dtype=np.intp)
-    bounds[0::2] = ends - W
-    bounds[1::2] = ends[:-1]
-    return np.add.reduceat(block.ravel(), bounds)[0::2] / W
 
 
 def _with_reference_loop(monkeypatch, series, *args, **kwargs):
@@ -463,14 +492,14 @@ class TestSeriesMatchesPerDegreeLoop:
         assert value == reference
 
     def test_shuffled_angles_over_chunks(self, monkeypatch):
-        # 1800 angles at 1e-8 and 200 small ones at 1e-3, whose windows of
-        # thousands of degrees spread the set over several chunks
+        # 1800 angles at 1e-8 and 200 small ones at 1e-3, whose windows span
+        # thousands of degrees, over eight chunks of 256 angles
         rng = np.random.default_rng(11)
         perm = rng.permutation(2000)
         thetas = np.concatenate([rng.uniform(0.05, math.pi, 1800),
                                  np.geomspace(1.2e-3, 4e-3, 200)])[perm]
         tols = np.concatenate([np.full(1800, 1e-8), np.full(200, 1e-3)])[perm]
-        assert len(list(harmonic._series_chunks(np.sort(thetas)))) >= 3
+        monkeypatch.setattr(harmonic, "_SERIES_MAX_ANGLES", 256)
         value, reference = _with_reference_loop(
             monkeypatch, symdiff_series, parse_space("s2"), thetas, tol=tols)
         assert np.array_equal(value, reference)
@@ -478,15 +507,15 @@ class TestSeriesMatchesPerDegreeLoop:
     @pytest.mark.parametrize("alpha, beta_", [(1.5, 0.5), (0, 0), (1, 2), (-0.5, 0.0),
                                               (7.0, 3.5)])
     def test_jacobi_rows(self, alpha, beta_):
-        # array and scalar arguments, integer and half-integer parameters,
-        # across several blocks of degrees
+        # an array and single points against the scalar reference, integer
+        # and half-integer parameters, across several blocks of degrees
         ts = np.linspace(-1, 1, 37)
-        for row, ref in zip(itertools.islice(jacobi_rows(alpha, beta_, ts), 300),
+        for row, ref in zip(itertools.islice(_recurrence_rows(alpha, beta_, ts), 300),
                             _reference_jacobi_rows(alpha, beta_, ts)):
             assert np.array_equal(row, ref)
         for t in ts[::6]:
-            rows = itertools.islice(jacobi_rows(alpha, beta_, float(t)), 140)
-            assert list(rows) == list(itertools.islice(
+            rows = itertools.islice(_recurrence_rows(alpha, beta_, np.array([t])), 140)
+            assert [float(row[0]) for row in rows] == list(itertools.islice(
                 _reference_jacobi_rows(alpha, beta_, float(t)), 140))
 
 

@@ -21,7 +21,6 @@ from crosp.specfun import (
     hyp3f2_unit,
     jacobi_at_one,
     jacobi_eval,
-    jacobi_rows,
     log_gamma,
     reg_inc_beta,
     rising,
@@ -344,7 +343,9 @@ class TestJacobi:
     def test_rows_elementwise(self):
         # the array recurrence reproduces the scalar one entry by entry
         ts = np.linspace(-1, 1, 9)
-        for n, row in zip(range(30), jacobi_rows(1.5, 0.5, ts)):
+        rec = _JacobiRecurrence(1.5, 0.5, ts)
+        rows = [rec.p_prev, rec.p_cur, *rec.advance(29)]
+        for n, row in enumerate(rows):
             assert np.array_equal(row, [jacobi_eval(n, 1.5, 0.5, t) for t in ts])
 
     def test_compacted_recurrence_equals_fresh_one(self):
