@@ -4,14 +4,13 @@ Elements of R, C, H, O are ndarrays whose last axis has length 1, 2, 4 or 8.
 A single doubling rule generates all products, so the quaternion and octonion
 multiplication tables share one source of truth.  The rule is written once,
 on lists of components (``mul_parts``): ``cd_mul`` splits the last axis into
-that list and stacks the result, and ``conj_product_terms`` runs it on
-symbolic components to list the signed products that make up x conj(y), which
-the distance kernel's embedding evaluates with no copies of the operands.
+that list and stacks the result, and the distance kernel's embedding calls it
+on the component arrays of two coordinates to form x conj(y).
 """
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,45 +65,6 @@ def cd_mul(x, y):
         raise ValueError("operands must have the same algebra dimension")
     parts = mul_parts([x[..., k] for k in range(dim)], [y[..., k] for k in range(dim)])
     return np.stack(parts, axis=-1)
-
-
-class _Sum:
-    """A signed sum of products x[i] y[j], its terms listed in the order the
-    doubling rule adds them; a factor is a one-term sum with one index None."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = terms
-
-    def __neg__(self):
-        return _Sum([(-s, i, j) for s, i, j in self.terms])
-
-    def __add__(self, other):
-        return _Sum(self.terms + other.terms)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, other):
-        (s, i, j), = self.terms
-        (t, k, q), = other.terms
-        return _Sum([(s * t, i if k is None else k, j if q is None else q)])
-
-
-@cache
-def conj_product_terms(dim):
-    """Component c of x conj(y) as the signed products ``(sign, i, j)``, each
-    sign * x[i] * y[j], for c < dim.
-
-    The terms come from ``mul_parts`` on symbolic components, in the order it
-    adds them: every sum there joins two halves of equal length, so adding
-    the terms pairwise (first half, then second half, then their sum) repeats
-    its additions, and with them its roundings, since a negation is exact.
-    """
-    x = [_Sum([(1, i, None)]) for i in range(dim)]
-    y = [_Sum([(1, None, j)]) for j in range(dim)]
-    return tuple(tuple(part.terms) for part in mul_parts(x, conj_parts(y)))
 
 
 @lru_cache(maxsize=None)

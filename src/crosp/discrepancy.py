@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .harmonic import avg_symdiff, check_tol, symdiff_series
-from .specfun import check_order
+from .specfun import check_order, reg_inc_beta
 from .spaces import (
     PointSet,
     SpaceSpec,
@@ -30,7 +30,6 @@ from .spaces import (
     _gaussian_rows,
     _inner_pairs,
     avg_chordal,
-    ball_volume,
     gamma_const,
 )
 
@@ -352,13 +351,14 @@ def _mc_mean(block_values, samples: int, root):
 def _count_within(space, inner, scale, cos_r):
     """Per column j, the number of rows i with a inner[i, j] / scale[j] + b > cos_r[j].
 
-    ``inner`` holds <E(x_i), E(g_j)> for raw centres g_j, whose embedding is
-    scale[j] times that of the point g_j / |g_j| (``_embedding_scale``), and
-    (a, b) are the ``_cos_affine`` constants.  Column j is compared with one
-    threshold, scale[j] (cos_r[j] - b) / a, or +inf where cos_r[j] = 1, since
-    no cosine exceeds 1.  NaN is never counted.  A count is at most the
-    number of rows, so it is summed in the smallest unsigned type that holds
-    that number.
+    ``cos_r`` holds the cosines of the centres' radii, 1 - 2u in
+    ``discrepancy_mc``.  ``inner`` holds <E(x_i), E(g_j)> for raw centres
+    g_j, whose embedding is scale[j] times that of the point g_j / |g_j|
+    (``_embedding_scale``), and (a, b) are the ``_cos_affine`` constants.
+    Column j is compared with one threshold, scale[j] (cos_r[j] - b) / a, or
+    +inf where cos_r[j] = 1, since no cosine exceeds 1.  NaN is never
+    counted.  A count is at most the number of rows, so it is summed in the
+    smallest unsigned type that holds that number.
     """
     a, b = _cos_affine(space)
     threshold = np.where(cos_r < 1.0, scale * ((cos_r - b) / a), np.inf)
@@ -370,12 +370,17 @@ def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
                    seed: int = 0) -> McEstimate:
     """Unbiased Monte Carlo estimate of the ball quadratic discrepancy.
 
-    Centers are drawn uniformly and radii with density sin(r)/2 on [0, pi]
-    (inverse CDF r = arccos(1 - 2u)); the factor 2 restores the canonical
-    measure's total mass.  Ball membership uses the strict inequality
-    theta < r.  Deterministic for a fixed seed.  ``samples`` must be an
-    integer >= 2 and ``seed`` an integer >= 0.  Blocks run on the calling
-    thread; BLAS uses the cores for each block's matrix product.
+    Centers are drawn uniformly and radii with density sin(r)/2 on [0, pi];
+    the factor 2 restores the canonical measure's total mass.  The radius is
+    never formed: a block draws u = sin^2(r/2), uniform on [0, 1), and uses
+    cos r = 1 - 2u and the ball volume I_u(d/2, d0/2) (``reg_inc_beta``).
+    1 - 2u is exact, and ``reg_inc_beta`` takes 1 - u only for u above the
+    mean d / (d + d0) >= 1/2, where that difference is exact, so the volume
+    has the accuracy of the incomplete beta.  Ball membership uses the
+    strict inequality theta < r.  Deterministic for a fixed seed.
+    ``samples`` must be an integer >= 2 and ``seed`` an integer >= 0.
+    Blocks run on the calling thread; BLAS uses the cores for each block's
+    matrix product.
 
     A block draws its centres as raw Gaussian rows g, never normalised:
     the embedding is homogeneous, embed(g) = s embed(g / |g|) with s = |g|
@@ -393,7 +398,7 @@ def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
 
     def block_values(stream, count):
         g = _gaussian_rows(space, count, stream)
-        r = np.arccos(1 - 2 * stream.random(count))
+        u = stream.random(count)
         cols = _embedding_cols(space, g)
         scale = _embedding_scale(space, g, cols)
         # (n, count); the centres go in coordinate-major, as they are built.
@@ -402,7 +407,8 @@ def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
         # the two roundings
         inner = E @ cols
         del cols  # not held through the comparison, which peaks the block's memory
-        dev = _count_within(space, inner, scale, np.cos(r)) - n * ball_volume(space, r)
+        dev = (_count_within(space, inner, scale, 1 - 2 * u)
+               - n * reg_inc_beta(u, space.d / 2, space.d0 / 2))
         return 2.0 * dev * dev
 
     value, stderr = _mc_mean(block_values, samples, seed)

@@ -251,7 +251,8 @@ def _embedding_cols(space: SpaceSpec, X: np.ndarray, out: np.ndarray = None) -> 
     Row k holds coordinate k of embed(x) for every point.  Sphere points are
     their own embedding, so on spheres this is the view X.T.  Otherwise the
     rows are written into ``out``, by default a new C-contiguous array, in
-    which each row is written in one contiguous pass.
+    which each row is written in one contiguous pass.  Each x_a conj(x_b)
+    is ``algebra.mul_parts`` on the component arrays of x_a and conj(x_b).
 
     The rows are homogeneous in a point's representative: rows of any
     nonzero length, such as raw Gaussian draws, give embed(l x) = l^k embed(x)
@@ -277,33 +278,11 @@ def _embedding_cols(space: SpaceSpec, X: np.ndarray, out: np.ndarray = None) -> 
         np.multiply(xk[0], xk[0], out=out[k])
         for c in xk[1:]:
             out[k] += c * c
-    # each component of x_a conj(x_b) is the signed sum of products the
-    # doubling rule forms, added pairwise in its order (so with its bits),
-    # in scratch rows; the sign of the sum goes into the factor sqrt(2)
-    terms = algebra.conj_product_terms(d0)
-    scratch = np.empty((d0.bit_length(), len(X)))
     for p, (a, b) in enumerate(zip(i, j)):
-        for c, part in enumerate(terms):
-            sign = _signed_sum(part, comps[a], comps[b], scratch)
-            np.multiply(scratch[0], sign * math.sqrt(2.0), out=out[n1 + p * d0 + c])
+        prod = algebra.mul_parts(list(comps[a]), algebra.conj_parts(list(comps[b])))
+        for c, part in enumerate(prod):
+            np.multiply(part, math.sqrt(2.0), out=out[n1 + p * d0 + c])
     return out
-
-
-def _signed_sum(terms, xs, ys, scratch) -> int:
-    """Write s * sum(sign * xs[i] * ys[j]) into scratch[0] and return s = +-1.
-
-    The terms are added pairwise, the second half of each sum in
-    scratch[1:]; a half whose sign differs is subtracted.
-    """
-    if len(terms) == 1:
-        (sign, i, j), = terms
-        np.multiply(xs[i], ys[j], out=scratch[0])
-        return sign
-    h = len(terms) // 2
-    s = _signed_sum(terms[:h], xs, ys, scratch)
-    t = _signed_sum(terms[h:], xs, ys, scratch[1:])
-    (np.add if s == t else np.subtract)(scratch[0], scratch[1], out=scratch[0])
-    return s
 
 
 def _embedding_scale(space: SpaceSpec, G: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +22,7 @@ from crosp.discrepancy import (
 )
 from crosp.errors import DomainError, UnsupportedSpaceError
 from crosp.harmonic import avg_symdiff, expansion_coeffs, symdiff_series
+from crosp.specfun import reg_inc_beta
 from crosp.spaces import (
     Point,
     PointSet,
@@ -466,7 +468,7 @@ class TestMcRoute:
         with pytest.raises(DomainError):
             discrepancy_mc(S2, np.zeros((3, 3)), 1000)
 
-    @pytest.mark.parametrize("code", ["s1", "s2", "s3", "rp2", "rp3", "cp2", "hp2"])
+    @pytest.mark.parametrize("code", ["s1", "s2", "s3", "rp2", "rp3", "cp2", "hp2", "hp3"])
     def test_equals_estimator_from_public_kernel(self, code):
         # the blocks count from the unclipped Gram product; rebuilt from the
         # clipped cos_geodesic_matrix, block by block, the estimate is the same
@@ -479,14 +481,29 @@ class TestMcRoute:
             stream = discrepancy._block_rng(seed, k)
             count = min(block, samples - k * block)
             centers = sample_uniform(space, count, stream).points
-            r = np.arccos(1 - 2 * stream.random(count))
+            u = stream.random(count)  # sin^2(r/2)
             cos = cos_geodesic_matrix(space, pts.points, centers)
-            dev = np.count_nonzero(cos > np.cos(r), axis=0) - len(pts) * ball_volume(space, r)
+            volume = reg_inc_beta(u, space.d / 2, space.d0 / 2)
+            dev = np.count_nonzero(cos > 1 - 2 * u, axis=0) - len(pts) * volume
             moments.append(discrepancy._block_moments(2.0 * dev * dev))
         n, mean, m2 = functools.reduce(discrepancy._chan_merge, moments)
         assert n == samples
         est = discrepancy_mc(space, pts, samples, seed=seed)
         assert (est.value, est.stderr) == (mean, math.sqrt(m2 / (n - 1) / n))
+
+    @pytest.mark.parametrize("code", ["s1", "s2", "s3", "rp2", "cp2", "hp2", "op2"])
+    def test_volume_of_drawn_ball(self, code):
+        # a block takes the volume of a ball as I_u(d/2, d0/2) of its draw
+        # u = sin^2(r/2); against mpmath at 40 digits, from u = 2^-60 to 1 - 2^-53
+        space = parse_space(code)
+        a, b = space.d / 2, space.d0 / 2
+        u = np.concatenate([[2.0**-60, 2.0**-30, 1e-8, 0.25, 0.5, 0.75, 1 - 2.0**-53],
+                            np.random.default_rng(25).random(300)])
+        got = reg_inc_beta(u, a, b)
+        with mpmath.workdps(40):
+            for x, v in zip(u.tolist(), got.tolist()):
+                exact = mpmath.betainc(a, b, 0, x, regularized=True)
+                assert float(abs(v - exact) / exact) <= 1e-15, (code, x)
 
 
 class TestCountWithin:
@@ -577,7 +594,7 @@ class TestCountWithin:
         rng = np.random.default_rng(24)
         X = sample_uniform(space, 50, rng).points
         G = spaces._gaussian_rows(space, 2000, rng)
-        cos_r = np.cos(np.arccos(1 - 2 * rng.random(len(G))))
+        cos_r = 1 - 2 * rng.random(len(G))
         cos_r[:3] = (-1.0, 1.0, 0.0)
         got = self._block_counts(space, X, G, cos_r)
         assert 0 < got.sum() < got.size * len(X)

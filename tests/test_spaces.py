@@ -262,9 +262,9 @@ class TestEmbeddingBits:
 
     @pytest.mark.parametrize("code", ["rp2", "rp3", "cp2", "cp3", "hp2", "hp3"])
     def test_signed_sums_match_doubling_rule(self, code):
-        # the embedding as the Monte Carlo block used it before its terms were
-        # listed: sqrt(2) times mul_parts on the component arrays, negated
-        # copies and all, on raw Gaussian rows like the block's centres
+        # the embedding rebuilt from the doubling rule as written: sqrt(2)
+        # times mul_parts on the component arrays, on raw Gaussian rows like
+        # the Monte Carlo block's centres
         space = parse_space(code)
         G = spaces._gaussian_rows(space, 4096, np.random.default_rng(20))
         comps = np.ascontiguousarray(np.moveaxis(G, 0, 2))
@@ -275,23 +275,10 @@ class TestEmbeddingBits:
             rows += [part * math.sqrt(2.0) for part in prod]
         assert spaces._embedding_cols(space, G).tobytes() == np.stack(rows).tobytes()
 
-    @pytest.mark.parametrize("dim", [1, 2, 4, 8])
-    def test_term_table_is_conj_product(self, dim):
-        # coefficient of x_p y_q in component c of x conj(y)
-        coeff = np.zeros((dim, dim, dim))
-        for c, terms in enumerate(algebra.conj_product_terms(dim)):
-            assert len(terms) == dim
-            for sign, p, q in terms:
-                coeff[c, p, q] += sign
-        basis = np.eye(dim)
-        for p in range(dim):
-            for q in range(dim):
-                assert np.array_equal(coeff[:, p, q],
-                                      algebra.cd_mul(basis[p], algebra.cd_conj(basis[q])))
-
     def test_peak_memory(self):
-        # the array formula's temporaries peaked at 8.64 MB on these points,
-        # the component-major form at 6.88 MB; both are measured here, since
+        # on these points the array formula's temporaries peak at 8.64 MB
+        # (so the bound is 7.78 MB) and the component-major form, with the
+        # arrays mul_parts returns, at 6.88 MB; both are measured here, since
         # a fixed bound sat too close to the first to tell them apart
         hp2 = parse_space("hp2")
         X = sample_uniform(hp2, 20_000, np.random.default_rng(0)).points
