@@ -392,6 +392,8 @@ def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
     """
     if not isinstance(pts, PointSet):
         raise DomainError("the Monte Carlo route requires an explicit point set")
+    samples = check_order(samples, 2, "samples")
+    seed = check_order(seed, 0, "seed")
     X = _point_array(space, pts)
     n = len(pts)
     E = _embedding(space, X)  # once, not per block
@@ -412,7 +414,7 @@ def discrepancy_mc(space: SpaceSpec, pts: PointSet, samples: int,
         return 2.0 * dev * dev
 
     value, stderr = _mc_mean(block_values, samples, seed)
-    return McEstimate(value, stderr, int(samples), int(seed))
+    return McEstimate(value, stderr, samples, seed)
 
 
 def invariance_residual(space: SpaceSpec, pts, route: str = "closed",
@@ -424,19 +426,20 @@ def invariance_residual(space: SpaceSpec, pts, route: str = "closed",
     (regression guard); the series and Monte Carlo routes are genuine
     checks.  The Monte Carlo route returns an McEstimate whose stderr is
     scaled by gamma.  On every route tau[D] is the exactly rounded chordal
-    ``pair_sum``.
+    ``pair_sum``, taken after the route has checked its arguments.
     """
     if route not in ("closed", "series", "mc"):
         raise DomainError(f"unknown route {route!r}")
+    if route == "mc":
+        est = discrepancy_mc(space, pts, samples, seed=seed)
+    elif route == "series":
+        lam = discrepancy_series(space, pts, tol=tol)
     gam = gamma_const(space)
     n, tau_sum = _count_and_pair_sum(space, pts)
     target = avg_chordal(space) * n**2
     if route == "mc":
-        est = discrepancy_mc(space, pts, samples, seed=seed)
         return McEstimate(gam * est.value + tau_sum - target,
                           gam * est.stderr, est.samples, est.seed)
     if route == "closed":
         lam = _closed_from_sum(space, n, tau_sum)
-    else:
-        lam = discrepancy_series(space, pts, tol=tol)
     return gam * lam + tau_sum - target

@@ -61,11 +61,14 @@ def pointset_to_dict(pts: PointSet) -> dict:
 def pointset_from_dict(doc: dict) -> PointSet:
     try:
         fam = Family(doc["space"]["family"])
-        n = int(doc["space"]["n"])
+        n = doc["space"]["n"]
         rows = doc["points"]
         label = doc.get("label", "")
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed point-set document: {exc}") from exc
+    # a JSON integer: int() would truncate 2.7 and read "2" and true
+    if type(n) is not int:
+        raise DomainError(f"space dimension n must be a JSON integer, got {n!r}")
     space = make_space(fam, n)
     shape = _point_shape(space)
     expected = int(np.prod(shape))

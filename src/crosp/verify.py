@@ -106,7 +106,7 @@ _SQ_PARAMS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
 _POLY_N_MAX = 8
 _WATSON_N_MAX = 6
 _MC_PAIRS = 20_000  # verify_constants' Monte Carlo pairs
-_TOL_SIGMA = 3.0  # verify_invariance's bound, in standard errors
+_TOL_SIGMA = 3.0  # both Monte Carlo checks' bound, in standard errors
 
 
 def verify_pointwise(space: SpaceSpec, tol: float = _POINTWISE_TOL,
@@ -282,17 +282,16 @@ def verify_constants(space: SpaceSpec, tol: float = 1e-9, seed: int = 0,
             diameter = harmonic.symdiff_series(space, math.pi, tol=_DIAMETER_TOL)
         tally.compare(1.0 / diameter, gam)
     if space.family is not spaces.Family.OCT_PROJ:
-        rng = np.random.default_rng(seed)
-        xs = spaces.sample_uniform(space, _MC_PAIRS, rng).points
-        ys = spaces.sample_uniform(space, _MC_PAIRS, rng).points
-        cosd = spaces.cos_geodesic_pairs(space, xs, ys)
-        taus = np.sin(np.arccos(cosd) / 2)
-        mean = float(taus.mean())
-        sigma = float(taus.std(ddof=1) / math.sqrt(_MC_PAIRS))
+        def block_values(stream, count):
+            xs = spaces.sample_uniform(space, count, stream).points
+            ys = spaces.sample_uniform(space, count, stream).points
+            return disc._distances_of_cos(spaces.cos_geodesic_pairs(space, xs, ys), "chordal")
+
+        mean, sigma = disc._mc_mean(block_values, _MC_PAIRS, seed)
         diff = abs(mean - spaces.avg_chordal(space))
         notes_extra = (f"; Monte Carlo mean chordal {mean:.6f} vs exact "
                        f"{spaces.avg_chordal(space):.6f} ({diff / sigma:.2f} sigma)")
-        if diff > 3 * sigma:
+        if diff > _TOL_SIGMA * sigma:
             tally.failures.append(f"Monte Carlo mean chordal off by {diff / sigma:.2f} sigma")
     return tally.report(
         "constants-ratio", f"space={space}", tol,
@@ -303,18 +302,18 @@ def verify_constants(space: SpaceSpec, tol: float = 1e-9, seed: int = 0,
 
 def verify_invariance(space: SpaceSpec, n_points: int = 100,
                       samples: int = 200_000, seed: int = 0) -> VerificationReport:
-    """Monte Carlo discrepancy vs the closed form on a random point set."""
+    """Monte Carlo invariance residual on a random point set, in standard errors."""
+    # outside the tally: a space it cannot be drawn on (op2) is no failed identity
+    pts = spaces.sample_uniform(space, n_points, np.random.default_rng(seed))
     tally = _Tally()
     notes = ""
     with tally.item(""):
-        pts = spaces.sample_uniform(space, n_points, np.random.default_rng(seed))
-        est = disc.discrepancy_mc(space, pts, samples, seed=seed + 1)
-        lam = disc.discrepancy_closed(space, pts)
-        diff = tally.compare(est.value, lam, scale=max(_TOL_SIGMA * est.stderr, 1e-300))
-        notes = (f"closed {lam:.8f}, mc {est.value:.8f} +- {est.stderr:.8f} "
-                 f"({diff / est.stderr:.2f} sigma at {samples} samples)")
-        if diff > _TOL_SIGMA * est.stderr:
-            tally.failures.append(f"difference exceeds {_TOL_SIGMA} standard errors")
+        res = disc.invariance_residual(space, pts, route="mc", samples=samples, seed=seed + 1)
+        err = tally.compare(res.value, 0.0, scale=max(_TOL_SIGMA * res.stderr, 1e-300))
+        notes = (f"residual gamma * lambda + tau[D] - <tau> N^2 = {res.value:.8f} "
+                 f"+- {res.stderr:.8f} ({err / res.stderr:.2f} sigma at {samples} samples)")
+        if err > _TOL_SIGMA * res.stderr:
+            tally.failures.append(f"residual exceeds {_TOL_SIGMA} standard errors")
     return tally.report(
         "invariance-principle",
         f"space={space}, N={n_points}, samples={samples}, seed={seed}", 1.0, notes,
@@ -387,9 +386,8 @@ def run_suite(name: str, seed: int = 0, **options) -> list[VerificationReport]:
         if key not in takes:
             raise DomainError(f"suite {name!r} takes no {key!r} option; it takes "
                               f"{', '.join((*takes, 'seed'))}")
-    # written so that a NaN fails the check
-    if "tol" in options and not 0 < options["tol"] < math.inf:
-        raise DomainError(f"tol must be finite and positive, got {options['tol']}")
+    if "tol" in options:
+        harmonic.check_tol(options["tol"])
     if "samples" in options:
         options["samples"] = check_order(options["samples"], 2, "samples")
     return run(seed, **options)

@@ -74,6 +74,14 @@ class TestPointSetFormat:
             io.pointset_from_dict({"space": {"family": "s", "n": 2},
                                    "points": [[1.0, 0.0]]})
 
+    @pytest.mark.parametrize("n", [2.7, "2", True, 2.0],
+                             ids=["float", "string", "bool", "integral_float"])
+    def test_space_dimension_must_be_a_json_integer(self, n):
+        # int() would load 2.7 and "2" as s2 and true as s1
+        with pytest.raises(DomainError, match="JSON integer"):
+            io.pointset_from_dict({"space": {"family": "s", "n": n},
+                                   "points": [[1.0, 0.0, 0.0]]})
+
     def test_distance_matrix_roundtrip(self, tmp_path):
         dm = np.array([[0.0, 1.2], [1.2, 0.0]])
         path = tmp_path / "dm.csv"
@@ -212,6 +220,14 @@ class TestCli:
         assert main(["gen", "--space", "op2", "--n", "10"]) == 3
         err = capsys.readouterr().err
         assert "octonionic" in err
+
+    def test_verify_invariance_octonionic_exit_code(self, capsys):
+        # the Monte Carlo route cannot sample op2: a domain error, no report
+        assert main(["verify", "invariance", "--space", "op2", "--no-meta"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "octonionic" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
@@ -355,6 +371,8 @@ class TestCli:
         ("ragged.csv", b"0,1,2\n1,0\n2,1,0\n"),
         ("points.json", b"not json\n"),
         ("latin1.json", b"{\"label\": \"\xe9\"}"),
+        ("fractional-n.json",
+         b'{"space": {"family": "s", "n": 2.5}, "points": [[1.0, 0.0, 0.0]]}'),
     ])
     def test_malformed_input_file_exit_code(self, tmp_path, capsys, name, content):
         path = tmp_path / name

@@ -742,3 +742,21 @@ class TestArgumentChecks:
                      lambda: harmonic.chordal_series(S2, theta, tol=tol)):
             with pytest.raises(DomainError, match="finite and positive"):
                 call()
+
+    @pytest.mark.parametrize("matrix,kwargs", [
+        (False, {"route": "series", "tol": math.inf}),
+        (False, {"route": "mc", "samples": math.nan}),
+        (False, {"route": "mc", "seed": -1}),
+        (True, {"route": "mc"}),
+    ], ids=["series_tol_inf", "mc_samples_nan", "mc_seed_negative", "mc_distance_matrix"])
+    def test_residual_arguments_rejected_before_any_work(self, matrix, kwargs, monkeypatch):
+        # invariance_residual checks its route's arguments before it sums a
+        # pair, embeds a point or reads a pair angle
+        pts = geodesic_matrix(S2, self.PTS.points) if matrix else self.PTS
+
+        def no_work(*args, **kwargs):
+            pytest.fail("work done before the arguments were checked")
+        for name in ("_count_and_pair_sum", "_pair_angles", "_embedding"):
+            monkeypatch.setattr(discrepancy, name, no_work)
+        with pytest.raises(DomainError):
+            invariance_residual(S2, pts, **kwargs)

@@ -1,6 +1,7 @@
 """Certification suites: verdicts, aggregation, reproducibility, the erratum guard."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -91,7 +92,7 @@ _FAILURE_CASES = {
                {}, "(n,alpha,beta)=(2,-0.83,-0.37): ", 7 * 20 - 1),
     # the mean ratio is tallied before the diameter's series fails
     "constants": (harmonic, "symdiff_series", _always, {"space": "s2"}, "", 1),
-    "invariance": (discrepancy, "discrepancy_closed", _always,
+    "invariance": (discrepancy, "discrepancy_mc", _always,
                    {"space": "s2", "samples": 20_000}, "", 0),
 }
 
@@ -130,6 +131,20 @@ def test_failing_item_recorded_and_the_rest_tallied(monkeypatch, suite):
 def test_constants_passes(code):
     report = verify_constants(parse_space(code), seed=5)
     assert report.passed, report.failures
+
+
+def test_constants_monte_carlo_memory_is_one_block():
+    # the 20,000 pairs are drawn in blocks, so no array holds them all
+    hp2 = parse_space("hp2")
+    diameter = harmonic.symdiff_series(hp2, math.pi, tol=1e-10)
+    tracemalloc.start()
+    try:
+        report = verify_constants(hp2, diameter=diameter)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed, report.failures
+    assert peak < 5e6
 
 
 def test_invariance_passes():
