@@ -191,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("gen", _cmd_gen, "generate a uniform point set (JSON)")
     p.add_argument("--space", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"number of points, at most {spaces._MAX_POINTS}")
     p.add_argument("--label", default=None)
 
     p = command("energy", _cmd_energy, "sum of pairwise distances")

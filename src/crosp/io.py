@@ -7,6 +7,7 @@ so repeated runs diff cleanly and every value reads back bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -69,17 +70,24 @@ def pointset_from_dict(doc: dict) -> PointSet:
     # a JSON integer: int() would truncate 2.7 and read "2" and true
     if type(n) is not int:
         raise DomainError(f"space dimension n must be a JSON integer, got {n!r}")
+    if type(label) is not str:
+        raise DomainError(f"label must be a JSON string, got {label!r}")
     space = make_space(fam, n)
     shape = _point_shape(space)
     expected = int(np.prod(shape))
+    if type(rows) is not list or not set(map(type, rows)) <= {list}:
+        raise DomainError("points must be a list of coordinate lists")
+    if not set(map(len, rows)) <= {expected}:
+        raise DomainError(f"each point must have {expected} coordinates for {space}")
+    # np.array would also read "1" and true as numbers
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+        raise DomainError("point coordinates must be JSON numbers")
     try:
         arr = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"malformed point coordinates: {exc}") from exc
-    if arr.ndim == 0 or arr.size != len(arr) * expected:
-        raise DomainError(f"each point must have {expected} coordinates for {space}")
+    except OverflowError:  # an integer beyond float range
+        raise DomainError("point coordinate out of float range") from None
     # PointSet checks that every row is a point of the space
-    return PointSet(space, arr.reshape((len(arr),) + shape), label)
+    return PointSet(space, arr.reshape((len(rows),) + shape), label)
 
 
 def save_pointset(path, pts: PointSet):

@@ -121,12 +121,13 @@ def catalog() -> list[SpaceSpec]:
 
 @dataclass(frozen=True)
 class Point:
-    """A point of Q: a unit representative vector, or a Jordan idempotent.
+    """A point of Q: a unit representative vector.
 
-    Spheres store a unit vector of length d + 1.  The R/C/H projective spaces
-    store a unit representative in F^{n+1} as an (n+1, d0) real array (the
-    class is taken modulo a unit scalar).  The octonionic plane stores the
-    3 x 3 Hermitian idempotent itself, shape (3, 3, 8).
+    Spheres store a unit vector of length d + 1.  The projective spaces store
+    a unit representative in F^{n+1} as an (n+1, d0) real array (the class is
+    taken modulo a unit scalar).  On the octonionic plane one entry of the
+    row must be real: two octonions generate an associative subalgebra
+    (Artin), so x x* is then the point's Jordan idempotent.
     """
 
     space: SpaceSpec
@@ -196,44 +197,32 @@ def _frozen(data) -> np.ndarray:
 def _point_shape(space: SpaceSpec):
     if space.family is Family.SPHERE:
         return (space.d + 1,)
-    if space.family is Family.OCT_PROJ:
-        return (3, 3, 8)
     return (space.n + 1, space.d0)
 
 
 def _check_rows(space: SpaceSpec, X: np.ndarray) -> None:
     """Raise DomainError unless every row of a stacked point array is a point.
 
-    Rows must be finite unit vectors (spheres), unit representatives
-    (rp/cp/hp), or Hermitian idempotents of trace 1 (op2).  O(N m).
+    Rows must be finite unit vectors (spheres) or unit representatives
+    (projective spaces), with a real entry on the octonionic plane.  O(N m).
     """
     if not np.all(np.isfinite(X)):
         raise DomainError("point coordinates must be finite")
-    fam = space.family
-    if fam is Family.OCT_PROJ:
-        herm = algebra.cd_conj(X).swapaxes(1, 2)
-        if np.max(np.abs(X - herm)) > 1e-10:
-            raise DomainError("octonionic point matrix is not Hermitian")
-        if np.max(np.abs(X[:, 0, 0, 0] + X[:, 1, 1, 0] + X[:, 2, 2, 0] - 1)) > 1e-10:
-            raise DomainError("octonionic point matrix must have trace 1")
-        if np.max(np.abs(_oct_mat_mul(X, X) - X)) > 1e-10:
-            raise DomainError("octonionic point matrix is not idempotent")
-        return
     flat = X.reshape(len(X), -1)
     norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
     if np.max(np.abs(norms - 1)) > 1e-12:
-        if fam is Family.SPHERE:
+        if space.family is Family.SPHERE:
             raise DomainError("sphere point is not on the unit sphere")
         raise DomainError("projective representative must have unit norm")
+    # a unit row with no real entry embeds to a unit vector too, but its x x*
+    # is not idempotent
+    if space.family is Family.OCT_PROJ and np.any(
+            np.abs(X[:, :, 1:]).max(axis=2).min(axis=1) > 1e-12):
+        raise DomainError("an octonionic representative must have a real entry")
 
 
 # ---------------------------------------------------------------------------
 # metrics
-
-
-def _oct_mat_mul(A, B):
-    """Products of 3x3 octonionic matrices stored as (..., 3, 3, 8)."""
-    return np.sum(algebra.cd_mul(A[..., :, :, None, :], B[..., None, :, :, :]), axis=-3)
 
 
 def _as_data(space, x):
@@ -264,11 +253,6 @@ def _embedding_cols(space: SpaceSpec, X: np.ndarray, out: np.ndarray = None) -> 
         out = np.empty((space.m, len(X)))
     n1 = X.shape[1]
     i, j = np.triu_indices(n1, 1)
-    if space.family is Family.OCT_PROJ:
-        diag = X[:, np.arange(n1), np.arange(n1), 0]
-        upper = X[:, i, j]
-        upper = upper.reshape(len(X), math.prod(upper.shape[1:]))  # also for no rows
-        return np.concatenate([diag.T, math.sqrt(2.0) * upper.T], out=out)
     # |x_i|^2 and x_i conj(x_j): right unit scalars x -> x u cancel.  Each
     # component of each coordinate is one contiguous (N,) array, and every
     # entry is written straight into its row of out.
@@ -443,19 +427,24 @@ def avg_chordal(space: SpaceSpec) -> float:
     return beta((d + 1) / 2, d0 / 2) / beta(d / 2, d0 / 2)
 
 
+_MAX_POINTS = 10**7  # the most points one call may draw, far below numpy's size limit
+
+
 def _gaussian_rows(space: SpaceSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     """count i.i.d. standard Gaussian rows in the point shape of ``space``.
 
     Normalised, each row is a uniform point: the Gaussian law is invariant
-    under the isometry group.  ``count`` must be an integer >= 0.  Not
-    available on the octonionic plane.
+    under the isometry group.  ``count`` must be an integer in [0, 10^7].
+    Not available on the octonionic plane, where they are not uniform.
     """
     count = check_order(count, 0, "count")
+    if count > _MAX_POINTS:
+        raise DomainError(f"count must be at most {_MAX_POINTS}, got {count}")
     if space.family is Family.OCT_PROJ:
         raise UnsupportedSpaceError(
             "uniform sampling on the octonionic projective plane is not supported; "
-            "no elementary vector representative exists - use chart_point_oct or "
-            "distance-matrix inputs instead"
+            "normalised Gaussian rows are not uniform on it - use chart_point_oct "
+            "or distance-matrix inputs instead"
         )
     return rng.standard_normal((count,) + _point_shape(space))
 
@@ -466,8 +455,8 @@ def sample_uniform(space: SpaceSpec, count: int, rng: np.random.Generator,
 
     The rows of ``_gaussian_rows`` normalized to the unit sphere of R^{d+1}
     or F^{n+1}; invariance of the Gaussian law under the isometry group
-    makes the pushforward uniform.  ``count`` must be an integer >= 0.  Not
-    available on the octonionic plane.
+    makes the pushforward uniform.  ``count`` must be an integer in
+    [0, 10^7].  Not available on the octonionic plane (see _gaussian_rows).
     """
     g = _gaussian_rows(space, count, rng)
     flat = g.reshape(len(g), math.prod(g.shape[1:]))  # also for no rows
@@ -480,13 +469,11 @@ def sample_uniform(space: SpaceSpec, count: int, rng: np.random.Generator,
 def chart_point_oct(c1, c2) -> Point:
     """Point of the octonionic plane from affine chart coordinates.
 
-    Maps octonions (c1, c2) to the Jordan idempotent of (c1, c2, 1)/norm.
-    The chart covers a dense open subset; (0, 0) gives diag(0, 0, 1).
+    Maps octonions (c1, c2) to the unit row (c1, c2, 1)/norm, whose last
+    entry is real.  The chart covers a dense open subset; (0, 0) gives (0, 0, 1).
     """
-    space = make_space(Family.OCT_PROJ, 2)
     v = np.zeros((3, 8))
     v[0] = algebra.as_element(c1, 8)
     v[1] = algebra.as_element(c2, 8)
     v[2, 0] = 1.0
-    v /= np.linalg.norm(v)
-    return Point(space, algebra.cd_mul(v[:, None], algebra.cd_conj(v)[None]))
+    return Point(make_space(Family.OCT_PROJ, 2), v / np.linalg.norm(v))

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import crosp
-from crosp import io
+from crosp import algebra, io
 from crosp.cli import main
 from crosp.errors import DomainError
-from crosp.spaces import PointSet, parse_space, sample_uniform
+from crosp.spaces import PointSet, chart_point_oct, parse_space, sample_uniform
 
 S2 = parse_space("s2")
 
@@ -81,6 +81,70 @@ class TestPointSetFormat:
         with pytest.raises(DomainError, match="JSON integer"):
             io.pointset_from_dict({"space": {"family": "s", "n": n},
                                    "points": [[1.0, 0.0, 0.0]]})
+
+    def test_integer_coordinates_are_json_numbers(self):
+        pts = io.pointset_from_dict({"space": {"family": "s", "n": 2},
+                                     "points": [[1, 0, 0], [0.0, -1, 0]]})
+        assert pts.points.tolist() == [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
+
+    @pytest.mark.parametrize("points,label,why", [
+        ([["1", 0, 0]], "", "JSON numbers"),
+        ([[True, 0, 0]], "", "JSON numbers"),
+        ([[[1], [0], [0]]], "", "JSON numbers"),
+        ([[1.0, 0.0, 0.0]], 5, "label"),
+        ([[1.0, 0.0, 0.0]], ["a"], "label"),
+        ([[10**400, 0, 0]], "", "float range"),
+        ([1.0, 0.0, 0.0], "", "coordinate lists"),
+        ({"0": [1.0, 0.0, 0.0]}, "", "coordinate lists"),
+    ], ids=["string", "bool", "nested", "int_label", "list_label", "huge_int",
+            "flat_points", "points_object"])
+    def test_loader_takes_only_the_format(self, tmp_path, capsys, points, label, why):
+        # np.array would read "1" and true as numbers and reshape the nested
+        # point; float() of 10**400 raises OverflowError
+        doc = {"space": {"family": "s", "n": 2}, "points": points, "label": label}
+        with pytest.raises(DomainError, match=why):
+            io.pointset_from_dict(doc)
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps(doc))
+        assert main(["energy", "--in", str(path), "--no-meta"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+    def test_octonionic_rows_load(self, tmp_path, capsys):
+        # 24 coordinates a point, one entry of the row real
+        rng = np.random.default_rng(6)
+        op2 = parse_space("op2")
+        pts = PointSet.from_points(op2, [
+            chart_point_oct(rng.standard_normal(8), rng.standard_normal(8)) for _ in range(5)])
+        path = tmp_path / "op2.json"
+        io.save_pointset(path, pts)
+        assert all(len(row) == 24 for row in json.loads(path.read_text())["points"])
+        assert np.array_equal(io.load_pointset(path).points, pts.points)
+        assert main(["discrepancy", "--in", str(path), "--no-meta"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_points"] == 5
+
+    def test_octonionic_idempotent_document_exit_code(self, tmp_path, capsys):
+        # the earlier op2 format: each point the 72 coordinates of its 3 x 3
+        # Jordan idempotent; it is rejected, not converted
+        x = chart_point_oct([0.5, 1], [0.3, 0, 0, 0.2]).data
+        P = algebra.cd_mul(x[:, None], algebra.cd_conj(x)[None])
+        path = tmp_path / "op2-72.json"
+        path.write_text(json.dumps({"space": {"family": "op", "n": 2},
+                                    "points": [P.ravel().tolist()]}))
+        assert main(["energy", "--in", str(path), "--no-meta"]) == 3
+        assert capsys.readouterr().err == (
+            "error: each point must have 24 coordinates for op2\n")
+
+    def test_octonionic_row_without_real_entry_exit_code(self, tmp_path, capsys):
+        x = np.random.default_rng(9).standard_normal((3, 8))
+        x /= np.linalg.norm(x)
+        path = tmp_path / "op2-no-real.json"
+        path.write_text(json.dumps({"space": {"family": "op", "n": 2},
+                                    "points": [x.ravel().tolist()]}))
+        assert main(["energy", "--in", str(path), "--no-meta"]) == 3
+        assert capsys.readouterr().err == (
+            "error: an octonionic representative must have a real entry\n")
 
     def test_distance_matrix_roundtrip(self, tmp_path):
         dm = np.array([[0.0, 1.2], [1.2, 0.0]])
@@ -220,6 +284,14 @@ class TestCli:
         assert main(["gen", "--space", "op2", "--n", "10"]) == 3
         err = capsys.readouterr().err
         assert "octonionic" in err
+
+    @pytest.mark.parametrize("n", ["9223372036854775808", "10000001"])
+    def test_gen_point_count_ceiling_exit_code(self, capsys, n):
+        # numpy cannot allocate 2^63 rows; the stated ceiling is 10^7 points
+        assert main(["gen", "--space", "s2", "--n", n, "--no-meta"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: count must be at most 10000000, got {n}\n"
 
     def test_verify_invariance_octonionic_exit_code(self, capsys):
         # the Monte Carlo route cannot sample op2: a domain error, no report

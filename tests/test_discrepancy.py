@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from crosp import discrepancy, harmonic, spaces
+from crosp import algebra, discrepancy, harmonic, spaces
 from crosp.discrepancy import (
     McEstimate,
     discrepancy_closed,
@@ -335,6 +335,19 @@ class TestSeriesRoute:
         lam_c = discrepancy_closed(OP2, pts)
         assert math.isfinite(lam_s) and lam_s > 0
         assert lam_s == pytest.approx(lam_c, abs=1e-7)
+
+    def test_octonionic_rows_match_idempotent_distances(self):
+        # the distance matrix of the Jordan idempotents x x*, built with the
+        # algebra's own product: cos(theta) = 2 <P, Q> - 1
+        rng = np.random.default_rng(31)
+        pts = PointSet.from_points(OP2, [
+            chart_point_oct(rng.standard_normal(8), rng.standard_normal(8)) for _ in range(12)])
+        X = pts.points
+        P = algebra.cd_mul(X[:, :, None], algebra.cd_conj(X)[:, None, :]).reshape(len(X), -1)
+        dm = np.arccos(np.clip(2.0 * (P @ P.T) - 1.0, -1.0, 1.0))
+        np.fill_diagonal(dm, 0.0)
+        for route in (discrepancy_closed, discrepancy_series):
+            assert route(OP2, pts) == pytest.approx(route(OP2, dm), rel=1e-12)
 
     def test_distance_matrix_input(self):
         rng = np.random.default_rng(15)

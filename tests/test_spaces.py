@@ -41,6 +41,25 @@ def _random_points(space, count, rng):
     return sample_uniform(space, count, rng)
 
 
+def _oct_idempotent(X):
+    """x x* of octonionic rows as 3 x 3 matrices, shape (..., 3, 3, 8): the
+    point's Jordan idempotent, built with the algebra's own product."""
+    return algebra.cd_mul(X[..., :, None, :], algebra.cd_conj(X)[..., None, :, :])
+
+
+def _oct_square(P):
+    """P P of one 3 x 3 octonionic matrix."""
+    return np.sum(algebra.cd_mul(P[:, :, None], P[None]), axis=1)
+
+
+def _idempotent_embedding(P):
+    """The embedding read off an idempotent: the real diagonal, then sqrt(2)
+    times each entry above it."""
+    i, j = np.triu_indices(3, 1)
+    upper = P[:, i, j].reshape(len(P), -1)
+    return np.concatenate([P[:, [0, 1, 2], [0, 1, 2], 0], math.sqrt(2.0) * upper], axis=1)
+
+
 class TestCatalog:
     def test_complex_projective_plane(self):
         s = make_space(Family.COMPLEX_PROJ, 2)
@@ -138,7 +157,8 @@ class TestKernel:
         Y = np.concatenate([X[:10], _random_points(space, 20, rng).points])
         if space.family is Family.OCT_PROJ:
             # trace form 2 <P, Q> - 1 of the Jordan idempotents, flattened
-            ref = 2.0 * (X.reshape(len(X), -1) @ Y.reshape(len(Y), -1).T) - 1.0
+            P, Q = _oct_idempotent(X), _oct_idempotent(Y)
+            ref = 2.0 * (P.reshape(len(X), -1) @ Q.reshape(len(Y), -1).T) - 1.0
         else:
             # components of <x, y> = sum_i conj(x_i) y_i from the multiplication table
             T = algebra.sesquilinear_tensor(space.d0)
@@ -184,13 +204,28 @@ class TestEmbed:
         assert np.allclose(embed(s2, Point(s2, x)), x)
 
     def test_oct_diag_idempotent(self):
+        # the row e_0, whose idempotent is diag(1, 0, 0)
         op2 = parse_space("op2")
-        P = np.zeros((3, 3, 8))
-        P[0, 0, 0] = 1.0
-        pt = Point(op2, P)  # validates Hermitian / trace / idempotent
-        vec = embed(op2, pt)
+        x = np.zeros((3, 8))
+        x[0, 0] = 1.0
+        vec = embed(op2, Point(op2, x))
         assert vec.shape == (27,)
-        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
+        assert vec[0] == 1.0 and not np.any(vec[1:])
+
+    def test_oct_real_entry_in_each_slot(self):
+        # every point of OP^2 has a row x = P e_k / sqrt(P_kk), whose entry k
+        # is real; each of the three embeds as the idempotent P does
+        op2 = parse_space("op2")
+        rng = np.random.default_rng(37)
+        chart = np.stack([chart_point_oct(rng.standard_normal(8), rng.standard_normal(8)).data
+                          for _ in range(200)])
+        P = _oct_idempotent(chart)
+        ref = _idempotent_embedding(P)
+        for k in range(3):
+            rows = P[:, :, k] / np.sqrt(P[:, k, k, :1, None])
+            assert np.max(np.abs(rows[:, k, 1:])) <= 1e-15
+            E = spaces._embedding(op2, PointSet(op2, rows).points)
+            assert np.max(np.abs(E - ref)) <= 4.4e-16
 
     @pytest.mark.parametrize("code", ["rp2", "cp2", "hp2", "op2"])
     def test_isometry(self, code):
@@ -446,17 +481,23 @@ class TestOctonions:
 
     def test_chart_origin(self):
         p = chart_point_oct(0, 0)
-        expected = np.zeros((3, 3, 8))
-        expected[2, 2, 0] = 1.0
-        assert np.allclose(p.data, expected, atol=1e-15)
+        expected = np.zeros((3, 8))
+        expected[2, 0] = 1.0
+        assert np.array_equal(p.data, expected)
+        diag = np.zeros((3, 3, 8))
+        diag[2, 2, 0] = 1.0
+        assert np.array_equal(_oct_idempotent(p.data), diag)
 
     def test_chart_unit(self):
         p = chart_point_oct(1, 0)
-        assert p.data[0, 0, 0] == pytest.approx(0.5, abs=1e-14)
-        assert p.data[2, 2, 0] == pytest.approx(0.5, abs=1e-14)
-        assert p.data[0, 2, 0] == pytest.approx(0.5, abs=1e-14)
-        trace = p.data[0, 0, 0] + p.data[1, 1, 0] + p.data[2, 2, 0]
-        assert trace == pytest.approx(1.0, abs=1e-14)
+        assert p.data.shape == (3, 8)
+        assert p.data[0, 0] == p.data[2, 0] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert np.count_nonzero(p.data) == 2
+        P = _oct_idempotent(p.data)
+        assert P[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert P[2, 2, 0] == pytest.approx(0.5, abs=1e-15)
+        assert P[0, 2, 0] == pytest.approx(0.5, abs=1e-15)
+        assert P[0, 0, 0] + P[1, 1, 0] + P[2, 2, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_chart_trace_form_range(self):
         rng = np.random.default_rng(4)
@@ -464,9 +505,14 @@ class TestOctonions:
         for _ in range(50):
             p1 = chart_point_oct(rng.standard_normal(8), rng.standard_normal(8))
             p2 = chart_point_oct(rng.standard_normal(8), rng.standard_normal(8))
-            tf = float(np.sum(p1.data * p2.data))
+            P1, P2 = _oct_idempotent(p1.data), _oct_idempotent(p2.data)
+            # x x* is idempotent: the last entry of the row is real
+            assert np.max(np.abs(_oct_square(P1) - P1)) <= 1e-15
+            tf = float(np.sum(P1 * P2))
             assert -1e-12 <= tf <= 1 + 1e-12
-            assert 0.0 <= geodesic(op2, p1, p2) <= math.pi
+            theta = geodesic(op2, p1, p2)
+            assert 0.0 <= theta <= math.pi
+            assert math.cos(theta) == pytest.approx(2 * tf - 1, abs=1e-14)
 
 
 class TestPointValidation:
@@ -476,12 +522,19 @@ class TestPointValidation:
             Point(s2, np.array([1.0, 1.0, 0.0]))
 
     def test_oct_not_idempotent(self):
+        # a unit row with no real entry: its x x* is not idempotent, though
+        # it embeds to a unit vector, so only the real-entry check sees it
         op2 = parse_space("op2")
-        P = np.zeros((3, 3, 8))
-        P[0, 0, 0] = 0.5
-        P[1, 1, 0] = 0.5  # Hermitian, trace 1, but rank 2: not idempotent
-        with pytest.raises(DomainError):
-            Point(op2, P)
+        x = np.random.default_rng(8).standard_normal((3, 8))
+        x /= np.linalg.norm(x)
+        P = _oct_idempotent(x)
+        assert np.max(np.abs(_oct_square(P) - P)) > 1e-3
+        assert np.linalg.norm(spaces._embedding(op2, x[None])) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(DomainError, match="real entry"):
+            Point(op2, x)
+        x[1, 1:] = 5e-13
+        x /= np.linalg.norm(x)  # entry 1 stays within the 1e-12 bound of real
+        assert Point(op2, x).data.shape == (3, 8)
 
     def test_nan_point_rejected(self):
         with pytest.raises(DomainError):
@@ -510,14 +563,18 @@ class TestPointValidation:
         good = np.stack([chart_point_oct(0, 0).data,
                          chart_point_oct([0, 1], [0.3, 0, 0, 0.2]).data])
         assert len(PointSet(op2, good)) == 2
-        rank2 = np.zeros((3, 3, 8))
-        rank2[0, 0, 0] = rank2[1, 1, 0] = 0.5  # Hermitian, trace 1, not idempotent
-        not_herm = good[1].copy()
-        not_herm[0, 1, 3] += 1e-3
-        trace2 = 2 * good[0]
-        for bad, why in ((not_herm, "Hermitian"), (trace2, "trace"), (rank2, "idempotent")):
+        no_real = good[1].copy()
+        no_real[2, 3] = 1e-3
+        no_real /= np.linalg.norm(no_real)
+        not_unit = 2 * good[0]
+        not_finite = good[1].copy()
+        not_finite[0, 5] = math.inf
+        for bad, why in ((no_real, "real entry"), (not_unit, "unit norm"),
+                         (not_finite, "finite")):
             with pytest.raises(DomainError, match=why):
                 PointSet(op2, np.stack([good[0], bad, good[1]]))
+        with pytest.raises(DomainError, match="shape"):
+            PointSet(op2, _oct_idempotent(good))
 
     def test_caller_array_stays_writable(self):
         s2 = parse_space("s2")
