@@ -27,7 +27,6 @@ from .harmonic import (
     ExpansionCoeffs,
     avg_symdiff,
     chordal_coeff,
-    chordal_series,
     coeff_tail,
     expansion_coeffs,
     jacobi_sq_integral,
@@ -37,7 +36,6 @@ from .harmonic import (
     poch_ratio,
     radial_weight,
     symdiff_series,
-    zonal_phi,
 )
 from .spaces import (
     Family,
@@ -64,8 +62,6 @@ from .specfun import (
     gauss_jacobi,
     hyp3f2_unit,
     jacobi_at_one,
-    jacobi_eval,
-    log_gamma,
     reg_inc_beta,
     rising,
     watson_rhs,

@@ -14,17 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["cd_mul", "cd_conj", "sesquilinear_tensor", "as_element"]
-
-
-def as_element(x, dim):
-    """Coerce x (scalar or sequence of <= dim reals) to a length-dim element."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.ndim != 1 or arr.size > dim:
-        raise ValueError(f"cannot interpret {x!r} as an element of dimension {dim}")
-    out = np.zeros(dim)
-    out[: arr.size] = arr
-    return out
+__all__ = ["cd_mul", "cd_conj", "sesquilinear_tensor"]
 
 
 def cd_conj(x):

@@ -2,13 +2,17 @@
 
 The chordal and symmetric-difference metrics expand in the zonal functions
 phi_l -- normalized Jacobi polynomials of cos(theta) -- with positive
-coefficients decaying like 1/l^2.  Each ingredient is coded once:
+coefficients decaying like 1/l^2.  The series engine sums the
+symmetric-difference expansion, whose coefficients are m_l a_l / l^2 up to
+a constant; the chordal coefficients c_l enter through the coefficient
+lemma that ties the two (checked by ``verify chain``) and through the exact
+tail ``coeff_tail``.  Each ingredient is coded once:
 
 * the Jacobi three-term recurrence (``specfun._JacobiRecurrence``);
 * one vectorized log-formula each for the level weights m_l, the chordal
   coefficients c_l and the radial weights a_l against the one radius
-  measure sin(r) dr, shared by the scalar functions and the cached table
-  ``expansion_coeffs``;
+  measure sin(r) dr, shared by the scalar functions and, for m_l and a_l,
+  the cached table ``expansion_coeffs``;
 * the radius quadrature rule of that measure (``_sine_rule``).
 
 The series engine sums sum_l t_l (1 - phi_l(theta)) for many angles at
@@ -51,16 +55,14 @@ import numpy as np
 from .errors import ConsistencyError, ConvergenceError, DomainError
 from .spaces import SpaceSpec, ball_volume, gamma_const
 from .specfun import (_JacobiRecurrence, _jacobi_row, _lgamma_diff, beta, check_order,
-                      gauss_jacobi, jacobi_at_one, jacobi_eval, rising, falling)
+                      gauss_jacobi, jacobi_at_one, rising, falling)
 
 __all__ = [
     "ExpansionCoeffs",
-    "zonal_phi",
     "level_weight",
     "chordal_coeff",
     "radial_weight",
     "expansion_coeffs",
-    "chordal_series",
     "symdiff_series",
     "avg_symdiff",
     "poch_ratio",
@@ -77,22 +79,6 @@ SERIES_CAP = 10_000
 _CHECKPOINTS = (156, 312, 625, 1250, 2500, 5000, SERIES_CAP)
 # the most angles one series chunk takes: it bounds the block of Jacobi rows
 _SERIES_MAX_ANGLES = 4096
-
-
-def _jacobi_params(space: SpaceSpec):
-    return space.d / 2 - 1, space.d0 / 2 - 1
-
-
-def zonal_phi(space: SpaceSpec, l: int, theta: float) -> float:
-    """Zonal function phi_l: the normalized Jacobi polynomial of cos(theta)."""
-    l = check_order(l, 0, "zonal level")
-    if not 0 <= theta <= math.pi:
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
-    if l == 0:
-        return 1.0
-    a, b = _jacobi_params(space)
-    val = jacobi_eval(l, a, b, math.cos(theta)) / jacobi_at_one(l, a)
-    return min(1.0, max(-1.0, val))
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +155,11 @@ def radial_weight(space: SpaceSpec, l: int) -> float:
 
 @dataclass(frozen=True)
 class ExpansionCoeffs:
-    """Tabulated expansion coefficients up to a truncation order.
+    """The level weights m_l and radial weights a_l for l = 1 .. SERIES_CAP,
+    read-only."""
 
-    ``tail_bound`` is the full positive coefficient tail sum_{l > L} m_l c_l,
-    exact by the telescoped antidifference of ``coeff_tail``.
-    """
-
-    space: SpaceSpec
-    L: int
     m_l: np.ndarray
-    c_l: np.ndarray
     a_l: np.ndarray
-    tail_bound: float
 
 
 def coeff_tail(space: SpaceSpec, l):
@@ -195,19 +174,13 @@ def coeff_tail(space: SpaceSpec, l):
 
 
 @lru_cache(maxsize=64)
-def expansion_coeffs(space: SpaceSpec, L: int = SERIES_CAP) -> ExpansionCoeffs:
-    """The coefficient table of a space up to level L, cached.  The library
-    calls it as ``expansion_coeffs(space)`` only, since the cache keys an
-    explicit ``L=SERIES_CAP`` apart and would build the table twice."""
-    L = check_order(L, 1, "L")
-    ls = np.arange(1, L + 1, dtype=float)
-    m_l = _level_weight(space, ls)
-    c_l = np.exp(_log_chordal_coeff(space, ls))
-    a_l = _radial_weights(space, L)
-    for arr in (m_l, c_l, a_l):
+def expansion_coeffs(space: SpaceSpec) -> ExpansionCoeffs:
+    """The coefficient table of a space up to the series cap, cached."""
+    m_l = _level_weight(space, np.arange(1, SERIES_CAP + 1, dtype=float))
+    a_l = _radial_weights(space, SERIES_CAP)
+    for arr in (m_l, a_l):
         arr.setflags(write=False)
-    return ExpansionCoeffs(space, L, m_l, c_l, a_l,
-                           float(coeff_tail(space, L + 1)))
+    return ExpansionCoeffs(m_l, a_l)
 
 
 # ---------------------------------------------------------------------------
@@ -224,43 +197,17 @@ def check_tol(tol) -> np.ndarray:
     return tols
 
 
-def _adaptive_series(space, theta, t_l, tail_fn, tol):
-    """Sum sum_l t_l (1 - phi_l(theta)) adaptively for every theta.
-
-    Rearranged as [head + tail] - [window-averaged oscillatory part].
-    ``tail_fn(L)`` is the exact tail sum_{l > L} t_l, elementwise for an
-    array of L.  Acceptance per theta: the tail beyond the window is below
-    ``tol``, or two consecutive stable refinements past the
-    oscillation-resolution floor, or a relaxed Richardson-style check at the
-    hard cap.  ``tol`` may be a scalar or a per-theta array of absolute
-    tolerances, checked by ``check_tol``.  A scalar ``theta`` gives a float.
-    The nonzero angles go through ``_series_chunk`` in ascending order, at
-    most ``_SERIES_MAX_ANGLES`` at a time.
-    """
-    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
-    if not np.all((thetas >= 0) & (thetas <= math.pi + 1e-12)):
-        raise DomainError("theta must lie in [0, pi]")
-    tols = np.broadcast_to(tol, thetas.shape)
-    values = np.zeros_like(thetas)
-    active = np.flatnonzero(thetas > 0)
-    order = active[np.argsort(thetas[active])]
-    a, b = _jacobi_params(space)
-    H = np.cumsum(t_l)
-    for start in range(0, order.size, _SERIES_MAX_ANGLES):
-        idx = order[start:start + _SERIES_MAX_ANGLES]
-        values[idx] = _series_chunk(thetas[idx], t_l, H, tail_fn, tols[idx], a, b)
-    if np.ndim(theta) == 0:
-        return float(values[0])
-    return values
-
-
 def _full_windows(th):
     """Degrees in one oscillation period of the Jacobi rows at each angle, capped."""
     return np.minimum(np.ceil(2 * math.pi / th), SERIES_CAP).astype(int)
 
 
 def _series_chunk(th, t_l, H, tail_fn, tols, a, b):
-    """Series values at the ascending angles ``th``, by ``_adaptive_series``'s rules.
+    """Series values at the ascending angles ``th``, by ``symdiff_series``'s rules.
+
+    ``t_l`` holds the coefficients, ``H`` their running sums and
+    ``tail_fn(L)`` the exact tail sum_{l > L} t_l, elementwise for an array
+    of L; (a, b) are the Jacobi parameters of phi_l.
 
     Each open angle keeps two running sums: ``psum``, its partial sum
     sum_{k <= m} t_k phi_k(theta), and ``wsum``, the sum of the partial sums
@@ -330,40 +277,49 @@ def _series_chunk(th, t_l, H, tail_fn, tols, a, b):
     return vals
 
 
-def _symdiff_coeffs(space):
-    table = expansion_coeffs(space)
-    ls = np.arange(1, SERIES_CAP + 1, dtype=float)
-    inv_b = 1.0 / beta(space.d / 2, space.d0 / 2)
-    t_l = inv_b * table.m_l * table.a_l / ls**2
-    two_gamma = 2.0 * gamma_const(space)
-    return t_l, lambda L: coeff_tail(space, L + 1) / two_gamma
-
-
 def symdiff_series(space: SpaceSpec, theta, tol=1e-8):
     """Symmetric-difference metric by its zonal expansion.
 
+    Sums sum_l t_l (1 - phi_l(theta)), t_l = m_l a_l / (l^2 B(d/2, d0/2)),
+    rearranged as [head + tail] - [window-averaged oscillatory part].
     Accepts a scalar or an array of angles (``tol`` may then be a matching
-    array of per-angle absolute tolerances).  Each angle is accepted by one
-    of three paths: a tail certificate (the coefficient tail beyond the
-    averaging window is below ``tol``), two consecutive stable refinements
-    past the oscillation floor, or a relaxed stability check at the hard
-    term cap; otherwise ``ConvergenceError`` is raised.  The radius measure
-    is the canonical sin(r) dr, whose coefficient tail is exact, so the
-    first path certifies ``tol``.  Near theta = 0 the attainable absolute
-    accuracy at the cap degrades like 1/theta^2, so very small angles need
-    a correspondingly relaxed tolerance.
+    array of per-angle absolute tolerances, checked by ``check_tol``); a
+    scalar ``theta`` gives a float.  Each angle is accepted by one of three
+    paths: a tail certificate (the coefficient tail beyond the averaging
+    window is below ``tol``), two consecutive stable refinements past the
+    oscillation floor, or a relaxed stability check at the hard term cap;
+    otherwise ``ConvergenceError`` is raised.  The radius measure is the
+    canonical sin(r) dr, whose coefficient tail is exact, so the first path
+    certifies ``tol``.  Near theta = 0 the attainable absolute accuracy at
+    the cap degrades like 1/theta^2, so very small angles need a
+    correspondingly relaxed tolerance.  The nonzero angles go through
+    ``_series_chunk`` in ascending order, at most ``_SERIES_MAX_ANGLES`` at
+    a time.
     """
     tols = check_tol(tol)
-    t_l, tail_fn = _symdiff_coeffs(space)
-    return _adaptive_series(space, theta, t_l, tail_fn, tols)
-
-
-def chordal_series(space: SpaceSpec, theta, tol: float = 1e-8):
-    """Chordal metric sin(theta/2) summed from its zonal expansion."""
-    tols = check_tol(tol)
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    if not np.all((thetas >= 0) & (thetas <= math.pi + 1e-12)):
+        raise DomainError("theta must lie in [0, pi]")
+    tols = np.broadcast_to(tols, thetas.shape)
     table = expansion_coeffs(space)
-    t_l = 0.5 * table.m_l * table.c_l
-    return _adaptive_series(space, theta, t_l, lambda L: 0.5 * coeff_tail(space, L + 1), tols)
+    ls = np.arange(1, SERIES_CAP + 1, dtype=float)
+    t_l = 1.0 / beta(space.d / 2, space.d0 / 2) * table.m_l * table.a_l / ls**2
+    H = np.cumsum(t_l)
+    two_gamma = 2.0 * gamma_const(space)
+
+    def tail_fn(L):
+        return coeff_tail(space, L + 1) / two_gamma
+
+    values = np.zeros_like(thetas)
+    active = np.flatnonzero(thetas > 0)
+    order = active[np.argsort(thetas[active])]
+    a, b = space.d / 2 - 1, space.d0 / 2 - 1
+    for start in range(0, order.size, _SERIES_MAX_ANGLES):
+        idx = order[start:start + _SERIES_MAX_ANGLES]
+        values[idx] = _series_chunk(thetas[idx], t_l, H, tail_fn, tols[idx], a, b)
+    if np.ndim(theta) == 0:
+        return float(values[0])
+    return values
 
 
 @cache

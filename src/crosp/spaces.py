@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebra
 from .errors import ConsistencyError, DomainError, UnsupportedSpaceError
-from .specfun import _inc_beta, beta, check_order, reg_inc_beta
+from .specfun import _inc_beta, beta, check_order
 
 __all__ = [
     "Family",
@@ -142,10 +142,6 @@ class Point:
         if self.data.shape != shape:
             raise DomainError(f"a point of {self.space} must have shape {shape}")
         _check_rows(self.space, self.data[None])
-
-    @property
-    def flat(self) -> np.ndarray:
-        return self.data.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -381,9 +377,10 @@ def ball_volume(space: SpaceSpec, r):
 
     Equals the regularized incomplete beta I_{sin^2(r/2)}(d/2, d0/2).  Near
     r = pi, sin^2(r/2) rounds to 1 and only cos^2(r/2) still carries
-    1 - sin^2(r/2).  That matters for a half-integer b = d0/2, where the
-    slope of I at 1 grows like (1 - x)^(b - 1) and is unbounded on s1 and
-    rp_n, so those volumes take 1 - x from cos^2(r/2).
+    1 - sin^2(r/2), so 1 - x is passed as cos^2(r/2).  That matters for a
+    half-integer b = d0/2, where the slope of I at 1 grows like
+    (1 - x)^(b - 1) and is unbounded on s1 and rp_n; the finite sum of an
+    integer b <= 8 does not read it.
     """
     arr = np.asarray(r, dtype=float)
     # written so that a NaN fails the check
@@ -391,11 +388,7 @@ def ball_volume(space: SpaceSpec, r):
         raise DomainError("ball radius must lie in [0, pi]")
     half = np.minimum(arr, math.pi) / 2
     x = np.clip(np.sin(half) ** 2, 0.0, 1.0)
-    a, b = space.d / 2, space.d0 / 2
-    if b == int(b):
-        out = reg_inc_beta(x, a, b)
-    else:
-        out = _inc_beta(x, a, b, y=np.cos(half) ** 2)
+    out = _inc_beta(x, space.d / 2, space.d0 / 2, y=np.cos(half) ** 2)
     if np.isscalar(r) or arr.ndim == 0:
         return float(out)
     return out
@@ -470,10 +463,21 @@ def chart_point_oct(c1, c2) -> Point:
     """Point of the octonionic plane from affine chart coordinates.
 
     Maps octonions (c1, c2) to the unit row (c1, c2, 1)/norm, whose last
-    entry is real.  The chart covers a dense open subset; (0, 0) gives (0, 0, 1).
+    entry is real.  Each coordinate is a real number or a flat sequence of
+    at most 8 reals, the leading components of an octonion; anything else
+    is a DomainError.  The chart covers a dense open subset; (0, 0) gives
+    (0, 0, 1).
     """
     v = np.zeros((3, 8))
-    v[0] = algebra.as_element(c1, 8)
-    v[1] = algebra.as_element(c2, 8)
+    for row, c in zip(v, (c1, c2)):
+        try:
+            arr = np.atleast_1d(np.asarray(c))
+        except ValueError:  # a ragged sequence
+            arr = None
+        # kinds i, u and f: integers and floats, no bools, strings or objects
+        if arr is None or arr.dtype.kind not in "iuf" or arr.ndim != 1 or arr.size > 8:
+            raise DomainError("an octonionic chart coordinate must be a real number "
+                              "or a flat sequence of at most 8 real numbers")
+        row[:arr.size] = arr
     v[2, 0] = 1.0
     return Point(make_space(Family.OCT_PROJ, 2), v / np.linalg.norm(v))

@@ -6,9 +6,9 @@ Watson's closed form.  Everything here is pure and re-entrant.
 
 Gamma-function ratios at large arguments (``_lgamma_diff``), the incomplete
 beta on 1/2 N and Gauss-Jacobi rules are computed here with numpy.  scipy, an
-optional extra (``crosp[scipy]``), is imported only by ``reg_inc_beta``, and
-only for an (a, b) outside 1/2 N or above _HALF_INTEGER_MAX; no catalog space
-reaches it.
+optional extra (``crosp[scipy]``), is imported only by the incomplete beta,
+and only for an (a, b) outside 1/2 N or above _HALF_INTEGER_MAX; no catalog
+space reaches it.
 """
 
 from __future__ import annotations
@@ -24,25 +24,16 @@ from .errors import DomainError
 __all__ = [
     "Hyp3F2Params",
     "QuadratureRule",
-    "log_gamma",
     "signed_log_gamma",
     "beta",
     "reg_inc_beta",
     "rising",
     "falling",
-    "jacobi_eval",
     "jacobi_at_one",
     "gauss_jacobi",
     "hyp3f2_unit",
     "watson_rhs",
 ]
-
-
-def log_gamma(x):
-    """Natural log of Gamma(x) for x > 0."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def check_order(k, least: int, what: str) -> int:
@@ -387,19 +378,6 @@ def _jacobi_row(n, alpha, beta_, t):
     return rec.p_cur
 
 
-def jacobi_eval(n, alpha, beta_, t):
-    """Jacobi polynomial P_n^{(alpha, beta)}(t) by the three-term recurrence.
-
-    Valid for alpha, beta > -1 and t in [-1, 1].
-    """
-    n = check_order(n, 0, "jacobi_eval: n")
-    if not (alpha > -1 and beta_ > -1):
-        raise DomainError(f"jacobi_eval requires alpha, beta > -1, got ({alpha}, {beta_})")
-    if not -1 <= t <= 1:
-        raise DomainError(f"jacobi_eval requires t in [-1, 1], got {t}")
-    return float(_jacobi_row(n, alpha, beta_, np.array([t], dtype=float))[0])
-
-
 def jacobi_at_one(n, alpha):
     """P_n^{(alpha, beta)}(1) = Gamma(alpha+n+1) / (Gamma(n+1) Gamma(alpha+1)), any beta."""
     n = check_order(n, 0, "jacobi_at_one: n")
@@ -416,20 +394,10 @@ def jacobi_at_one(n, alpha):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Gauss rule for the weight (1-t)^alpha (1+t)^beta on [-1, 1]."""
+    """Gauss rule for the weight (1-t)^alpha (1+t)^beta on [-1, 1], read-only."""
 
-    alpha: float
-    beta: float
     nodes: np.ndarray
     weights: np.ndarray
-
-    def integrate(self, f):
-        """Integral of f against the weight (f evaluated on the nodes)."""
-        return float(np.dot(self.weights, f(self.nodes)))
-
-    @property
-    def total_mass(self):
-        return float(self.weights.sum())
 
 
 def gauss_jacobi(m, alpha, beta_):
@@ -465,7 +433,7 @@ def gauss_jacobi(m, alpha, beta_):
     weights = mu0 * vecs[0, :] ** 2
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(alpha, beta_, nodes, weights)
+    return QuadratureRule(nodes, weights)
 
 
 @dataclass(frozen=True)

@@ -441,6 +441,7 @@ class TestCli:
     @pytest.mark.parametrize("name,content", [
         ("words.csv", b"0,1\nx,0\n"),
         ("ragged.csv", b"0,1,2\n1,0\n2,1,0\n"),
+        ("rectangular.csv", b"0,1,2\n1,0,1\n"),
         ("points.json", b"not json\n"),
         ("latin1.json", b"{\"label\": \"\xe9\"}"),
         ("fractional-n.json",

@@ -21,7 +21,7 @@ from crosp.discrepancy import (
     pair_sum,
 )
 from crosp.errors import DomainError, UnsupportedSpaceError
-from crosp.harmonic import avg_symdiff, expansion_coeffs, symdiff_series
+from crosp.harmonic import avg_symdiff, symdiff_series
 from crosp.specfun import reg_inc_beta
 from crosp.spaces import (
     Point,
@@ -731,7 +731,6 @@ class TestArgumentChecks:
         "residual_samples_nan": lambda c: invariance_residual(S2, c.PTS, route="mc",
                                                               samples=math.nan),
         "embed_foreign_point": lambda c: embed(S2, c.RP2_POINT),
-        "coeffs_order_nan": lambda c: expansion_coeffs(S2, L=math.nan),
     }
 
     @pytest.mark.parametrize("name", sorted(CALLS))
@@ -747,12 +746,10 @@ class TestArgumentChecks:
         def no_work(*args, **kwargs):
             pytest.fail("work done before the tolerance was checked")
         monkeypatch.setattr(discrepancy, "_pair_angles", no_work)
-        monkeypatch.setattr(harmonic, "_symdiff_coeffs", no_work)
         monkeypatch.setattr(harmonic, "expansion_coeffs", no_work)
         theta = np.array([0.5, 1.0])
         for call in (lambda: discrepancy_series(S2, self.PTS, tol=tol),
-                     lambda: symdiff_series(S2, theta, tol=tol),
-                     lambda: harmonic.chordal_series(S2, theta, tol=tol)):
+                     lambda: symdiff_series(S2, theta, tol=tol)):
             with pytest.raises(DomainError, match="finite and positive"):
                 call()
 

@@ -15,7 +15,6 @@ from crosp.harmonic import (
     SERIES_CAP,
     avg_symdiff,
     chordal_coeff,
-    chordal_series,
     coeff_tail,
     expansion_coeffs,
     jacobi_sq_integral,
@@ -25,13 +24,19 @@ from crosp.harmonic import (
     poch_ratio,
     radial_weight,
     symdiff_series,
-    zonal_phi,
 )
 from crosp.spaces import avg_chordal, gamma_const, parse_space
-from crosp.specfun import (_JacobiRecurrence, beta, gauss_jacobi, jacobi_at_one, jacobi_eval,
+from crosp.specfun import (_JacobiRecurrence, _jacobi_row, beta, gauss_jacobi, jacobi_at_one,
                            rising)
 
 ALL_CODES = ["s1", "s2", "s3", "rp2", "cp2", "hp2", "op2"]
+
+
+def zonal_phi(space, l, theta):
+    """phi_l(theta) = P_l(cos theta) / P_l(1), the normalization the series
+    engine applies to each row of the recurrence."""
+    a, b = space.d / 2 - 1, space.d0 / 2 - 1
+    return float(_jacobi_row(l, a, b, np.array([math.cos(theta)]))[0]) / jacobi_at_one(l, a)
 
 
 class TestZonal:
@@ -64,10 +69,9 @@ class TestZonal:
 
 @pytest.mark.parametrize("fn", [
     level_weight, chordal_coeff, radial_weight,
-    lambda space, l: zonal_phi(space, l, 1.0),
     *(lambda space, l, f=f: f(l, 0.5, 0.5)
       for f in (poch_ratio, leibniz_sum, leibniz_closed, jacobi_sq_integral)),
-], ids=["level_weight", "chordal_coeff", "radial_weight", "zonal_phi",
+], ids=["level_weight", "chordal_coeff", "radial_weight",
         "poch_ratio", "leibniz_sum", "leibniz_closed", "jacobi_sq_integral"])
 @pytest.mark.parametrize("l", [math.nan, math.inf, -math.inf, 2.5])
 def test_order_domain(fn, l):
@@ -119,10 +123,9 @@ class TestChordalCoeff:
         a, b = space.d / 2 - 1, space.d0 / 2 - 1
         rule_num = gauss_jacobi(l + 3, a + 0.5, b)
         num = float(np.dot(rule_num.weights,
-                           [jacobi_eval(l, a, b, t) for t in rule_num.nodes])) / math.sqrt(2)
+                           _jacobi_row(l, a, b, rule_num.nodes))) / math.sqrt(2)
         rule_den = gauss_jacobi(l + 2, a, b)
-        den = float(np.dot(rule_den.weights,
-                           [jacobi_eval(l, a, b, t) ** 2 for t in rule_den.nodes]))
+        den = float(np.dot(rule_den.weights, _jacobi_row(l, a, b, rule_den.nodes) ** 2))
         coeff_hat = num / den  # Fourier-Jacobi coefficient of sqrt((1-t)/2)
         expected = -2 * coeff_hat * jacobi_at_one(l, a) / level_weight(space, l)
         assert chordal_coeff(space, l) == pytest.approx(expected, rel=1e-11)
@@ -181,8 +184,7 @@ class TestRadialWeight:
         d, d0 = space.d, space.d0
         rule = gauss_jacobi(l + 2, float(d), float(d0))
         integral = float(np.dot(rule.weights,
-                                [jacobi_eval(l - 1, d / 2, d0 / 2, t) ** 2
-                                 for t in rule.nodes]))
+                                _jacobi_row(l - 1, d / 2, d0 / 2, rule.nodes) ** 2))
         expected = 2.0 ** (-d - d0) * integral
         assert radial_weight(space, l) == pytest.approx(expected, rel=1e-10)
 
@@ -276,16 +278,36 @@ class TestJacobiSqIntegral:
             jacobi_sq_integral(2, -0.5, 0.0, route="quadrature")
 
 
-class TestSeries:
-    def test_chordal_zero(self):
-        assert chordal_series(parse_space("s2"), 0.0) == 0.0
+def _chordal_coeffs(space):
+    """t_l = m_l c_l / 2 for l = 1 .. SERIES_CAP, from the library's formulas:
+    the coefficients of sin(theta / 2) = sum_l t_l (1 - phi_l(theta))."""
+    ls = np.arange(1, SERIES_CAP + 1, dtype=float)
+    return 0.5 * harmonic._level_weight(space, ls) * np.exp(harmonic._log_chordal_coeff(space, ls))
 
+
+def _chordal_head(space, theta):
+    """sum_{l <= SERIES_CAP} m_l c_l (1 - phi_l(theta)), degree by degree."""
+    a, b = space.d / 2 - 1, space.d0 / 2 - 1
+    rec = _JacobiRecurrence(a, b, np.array([math.cos(theta)]))
+    rows = [rec.p_cur]
+    while rec.degree < SERIES_CAP:
+        rows.extend(rec.advance(SERIES_CAP))
+    phi = np.array([row[0] / jacobi_at_one(l, a) for l, row in enumerate(rows, 1)])
+    return math.fsum(2 * _chordal_coeffs(space) * (1 - phi))
+
+
+class TestSeries:
+    # the chordal expansion sums to 2 sin(theta / 2); its coefficient tail
+    # beyond the cap is coeff_tail, and the oscillating part of that tail is
+    # at most about 1e-8 at these angles
     def test_chordal_two_sphere_diameter(self):
-        val = chordal_series(parse_space("s2"), math.pi, tol=1e-8)
+        s2 = parse_space("s2")
+        val = 0.5 * (_chordal_head(s2, math.pi) + coeff_tail(s2, SERIES_CAP + 1))
         assert abs(val - 1.0) <= 1e-7
 
     def test_chordal_complex_projective(self):
-        val = chordal_series(parse_space("cp2"), math.pi / 2, tol=1e-9)
+        cp2 = parse_space("cp2")
+        val = 0.5 * (_chordal_head(cp2, math.pi / 2) + coeff_tail(cp2, SERIES_CAP + 1))
         assert val == pytest.approx(math.sin(math.pi / 4), abs=1e-8)
 
     def test_symdiff_zero(self):
@@ -368,8 +390,6 @@ class TestSeries:
             symdiff_series(parse_space("s2"), np.array([0.5, math.nan]))
         with pytest.raises(DomainError):
             symdiff_series(parse_space("s2"), 1.0, tol=math.nan)
-        with pytest.raises(DomainError):
-            chordal_series(parse_space("s2"), math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +501,17 @@ class TestSeriesMatchesPerDegreeLoop:
 
     @pytest.mark.parametrize("code", ALL_CODES)
     def test_chordal_grid(self, monkeypatch, code):
-        value, reference = _with_reference_loop(
-            monkeypatch, chordal_series, parse_space(code), GRID, tol=1e-8)
+        # the engine takes its coefficients as arguments: here the chordal
+        # ones, with their exact tail, on the nonzero angles of the grid
+        space = parse_space(code)
+        t_l = _chordal_coeffs(space)
+
+        def chordal_by_engine():
+            return harmonic._series_chunk(
+                GRID[1:], t_l, np.cumsum(t_l), lambda L: 0.5 * coeff_tail(space, L + 1),
+                np.full(GRID.size - 1, 1e-8), space.d / 2 - 1, space.d0 / 2 - 1)
+
+        value, reference = _with_reference_loop(monkeypatch, chordal_by_engine)
         assert np.array_equal(value, reference)
 
     @pytest.mark.parametrize("code", ALL_CODES)
@@ -538,8 +567,7 @@ class TestCoefficientTable:
     def test_mean_identity(self, code):
         # half the total coefficient mass equals the mean chordal distance
         space = parse_space(code)
-        table = expansion_coeffs(space)
-        total = 0.5 * (float(np.sum(table.m_l * table.c_l)) + table.tail_bound)
+        total = float(np.sum(_chordal_coeffs(space))) + 0.5 * coeff_tail(space, SERIES_CAP + 1)
         assert total == pytest.approx(avg_chordal(space), abs=1e-12)
 
     @pytest.mark.parametrize("code", ALL_CODES)
@@ -554,10 +582,9 @@ class TestCoefficientTable:
     @pytest.mark.parametrize("code", ALL_CODES)
     def test_tail_bound_dominates(self, code):
         space = parse_space(code)
-        table = expansion_coeffs(space)
-        partial = float(np.sum(table.m_l[5000:] * table.c_l[5000:]))
+        partial = 2 * float(np.sum(_chordal_coeffs(space)[5000:]))
         assert coeff_tail(space, 5001) >= partial
-        assert table.tail_bound >= 0.0
+        assert coeff_tail(space, SERIES_CAP + 1) >= 0.0
 
     @pytest.mark.parametrize("code", ALL_CODES)
     def test_symdiff_chain_at_large_level(self, code):
@@ -579,17 +606,16 @@ class TestCoefficientTable:
         table = expansion_coeffs(space)
         for l in (1, 2, 17, 159, 160, 2000):
             assert table.m_l[l - 1] == pytest.approx(level_weight(space, l), rel=1e-12)
-            assert table.c_l[l - 1] == pytest.approx(chordal_coeff(space, l), rel=1e-12)
             assert table.a_l[l - 1] == pytest.approx(radial_weight(space, l), rel=1e-12)
 
     def test_cache_identity(self):
         s2 = parse_space("s2")
-        assert expansion_coeffs(s2, 1000) is expansion_coeffs(s2, 1000)
+        assert expansion_coeffs(s2) is expansion_coeffs(s2)
 
     def test_positive_finite(self):
         for code in ALL_CODES:
-            table = expansion_coeffs(parse_space(code), 2000)
-            for arr in (table.m_l, table.c_l, table.a_l):
+            table = expansion_coeffs(parse_space(code))
+            for arr in (table.m_l, table.a_l):
                 assert np.all(np.isfinite(arr))
-            assert np.all(table.c_l > 0)
+            assert np.all(_chordal_coeffs(parse_space(code)) > 0)
             assert np.all(table.a_l >= 0)

@@ -499,6 +499,15 @@ class TestOctonions:
         assert P[0, 2, 0] == pytest.approx(0.5, abs=1e-15)
         assert P[0, 0, 0] + P[1, 1, 0] + P[2, 2, 0] == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("coord", [[0.0] * 9, [[1.0, 2.0]], [[1.0], [2.0, 3.0]], "abc",
+                                       "1", True, [1j], 10**400],
+                             ids=["nine", "nested", "ragged", "word", "numeric-string",
+                                  "bool", "complex", "huge-int"])
+    def test_chart_rejects_what_is_not_an_octonion(self, coord):
+        for c1, c2 in ((coord, 0), (0, coord)):
+            with pytest.raises(DomainError):
+                chart_point_oct(c1, c2)
+
     def test_chart_trace_form_range(self):
         rng = np.random.default_rng(4)
         op2 = parse_space("op2")

@@ -20,17 +20,28 @@ from crosp.specfun import (
     gauss_jacobi,
     hyp3f2_unit,
     jacobi_at_one,
-    jacobi_eval,
-    log_gamma,
     reg_inc_beta,
     rising,
     signed_log_gamma,
     watson_rhs,
     _JACOBI_BLOCK,
     _JacobiRecurrence,
+    _jacobi_row,
 )
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def log_gamma(x):
+    """log Gamma(x) for x > 0: the magnitude part of ``signed_log_gamma``."""
+    lg, sign = signed_log_gamma(x)
+    assert sign == 1.0
+    return lg
+
+
+def jacobi_eval(n, alpha, beta_, t):
+    """P_n^{(alpha, beta)}(t) at one point, by ``_jacobi_row``."""
+    return float(_jacobi_row(n, alpha, beta_, np.array([t], dtype=float))[0])
 
 
 class TestLogGamma:
@@ -52,10 +63,11 @@ class TestLogGamma:
         exact = float(sympy.loggamma(sympy.Rational(x).limit_denominator(10**6)).evalf(30))
         assert log_gamma(x) == pytest.approx(exact, rel=1e-13, abs=1e-14)
 
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, math.nan])
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
     def test_domain(self, x):
+        # the poles and NaN; signed_log_gamma takes the other negative x
         with pytest.raises(DomainError):
-            log_gamma(x)
+            signed_log_gamma(x)
 
 
 class TestSignedLogGamma:
@@ -341,7 +353,7 @@ class TestJacobi:
             assert abs(jacobi_eval(n, a, b, t)) <= jacobi_at_one(n, a) * (1 + 1e-12)
 
     def test_rows_elementwise(self):
-        # the array recurrence reproduces the scalar one entry by entry
+        # the array recurrence reproduces a one-point recurrence entry by entry
         ts = np.linspace(-1, 1, 9)
         rec = _JacobiRecurrence(1.5, 0.5, ts)
         rows = [rec.p_prev, rec.p_cur, *rec.advance(29)]
@@ -382,20 +394,11 @@ class TestJacobi:
         # with beta > alpha the magnitude peaks at t = -1; degree 1 at (0, 1/2)
         assert abs(jacobi_eval(1, 0.0, 0.5, -1.0)) > jacobi_at_one(1, 0.0)
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            jacobi_eval(-1, 0, 0, 0.0)
-        with pytest.raises(DomainError):
-            jacobi_eval(2, 0, 0, 1.5)
-        with pytest.raises(DomainError):
-            jacobi_eval(3, 0.5, 0.2, math.nan)
-        with pytest.raises(DomainError):
-            jacobi_eval(3, math.nan, 0.2, 0.5)
-
     @pytest.mark.parametrize("n", [math.nan, math.inf, 2.5])
     def test_degree_domain(self, n):
+        # P_n(1), which normalises every zonal function, checks the degree
         with pytest.raises(DomainError):
-            jacobi_eval(n, 0.5, 0.5, 0.1)
+            jacobi_at_one(n, 0.5)
 
 
 class TestJacobiAtOne:
@@ -451,21 +454,21 @@ class TestGaussJacobi:
 
     def test_monomial_legendre(self):
         rule = gauss_jacobi(5, 0, 0)
-        assert rule.integrate(lambda t: t**8) == pytest.approx(2 / 9, abs=1e-14)
+        assert np.dot(rule.weights, rule.nodes**8) == pytest.approx(2 / 9, abs=1e-14)
 
     @pytest.mark.parametrize("alpha,beta_", [(0, 0), (1, 0), (0.5, 1.5), (2, 3), (-0.5, -0.5)])
     @pytest.mark.parametrize("m", [1, 2, 4, 7])
     def test_moment_exactness(self, alpha, beta_, m):
         rule = gauss_jacobi(m, alpha, beta_)
         for j in range(2 * m):
-            quad = rule.integrate(lambda t: t**j)
+            quad = np.dot(rule.weights, rule.nodes**j)
             assert quad == pytest.approx(_moment(alpha, beta_, j), rel=1e-12, abs=1e-13)
 
     @pytest.mark.parametrize("alpha,beta_", [(0, 0), (1.5, 0.5), (3, 1)])
     def test_total_mass(self, alpha, beta_):
         rule = gauss_jacobi(9, alpha, beta_)
         expected = 2 ** (alpha + beta_ + 1) * beta(alpha + 1, beta_ + 1)
-        assert rule.total_mass == pytest.approx(expected, rel=1e-13)
+        assert rule.weights.sum() == pytest.approx(expected, rel=1e-13)
         assert np.all(np.diff(rule.nodes) > 0)
 
     def test_against_scipy(self):
