@@ -26,13 +26,17 @@ A window spans at most half the degrees up to its checkpoint, and each
 checkpoint at least doubles the one before, so no window reaches back past
 the previous checkpoint: each angle needs only its running partial sum and
 a running sum of the partial sums in its window, reset at each checkpoint.
-The degrees between two checkpoints go through in blocks of
-``specfun._JACOBI_BLOCK``: the recurrence yields a block of rows, scaled by
-1/P_l(1) and t_l in two array operations and added to the running sums one
-row per degree.  At each checkpoint the accepted angles are dropped from
-the recurrence and every per-angle array, so they cost nothing after it.
-Each kept angle sees the same elementwise operations in the same order
-either way, so every value is bit-identical to the angle summed alone.
+The recurrence steps the scaled rows q_l = t_l phi_l directly, three array
+operations per degree, for every open angle of a call at once, the angles
+of several spaces included (``_symdiff_batch``, which ``symdiff_series``
+and ``verify all`` call).  The degrees between two checkpoints go through
+in blocks of at most ``specfun._BLOCK_ENTRIES`` entries, and each block is
+added to the running sums in one pass.  At each checkpoint the accepted
+angles are dropped from the recurrence and every per-angle array, so they
+cost nothing after it.  Each angle sees the same elementwise operations in
+the same order whichever other angles share the call, and the row sums add
+row after row, never pairwise, so every value is bit-identical to the angle
+summed alone.
 
 The coefficient formulas are products of gamma-function ratios
 Gamma(l + h1) / Gamma(l + h2), each taken as one ``specfun._lgamma_diff``,
@@ -49,6 +53,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,10 +80,8 @@ __all__ = [
 
 SERIES_CAP = 10_000
 # each at least twice the one before, as the running window sum of
-# _series_chunk needs
+# _series_values needs
 _CHECKPOINTS = (156, 312, 625, 1250, 2500, 5000, SERIES_CAP)
-# the most angles one series chunk takes: it bounds the block of Jacobi rows
-_SERIES_MAX_ANGLES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -202,33 +205,122 @@ def _full_windows(th):
     return np.minimum(np.ceil(2 * math.pi / th), SERIES_CAP).astype(int)
 
 
-def _series_chunk(th, t_l, H, tail_fn, tols, a, b):
-    """Series values at the ascending angles ``th``, by ``symdiff_series``'s rules.
+class _Expansion(NamedTuple):
+    """An expansion sum_l t_l (1 - phi_l(theta)), l = 1 .. SERIES_CAP, as the
+    series engine reads it (built by ``_expansion``)."""
 
-    ``t_l`` holds the coefficients, ``H`` their running sums and
-    ``tail_fn(L)`` the exact tail sum_{l > L} t_l, elementwise for an array
-    of L; (a, b) are the Jacobi parameters of phi_l.
+    ratio: Callable  # ratio(lo, hi): s_l / s_{l-1} for l = lo .. hi, s_l = t_l / P_l(1)
+    totals: dict  # checkpoint l: H_l + tail(l), H_l = t_1 + ... + t_l
+    tail: Callable  # tail(L) = sum_{l > L} t_l, elementwise for an array of L
+    a: float  # the Jacobi parameters of phi_l
+    b: float
 
-    Each open angle keeps two running sums: ``psum``, its partial sum
-    sum_{k <= m} t_k phi_k(theta), and ``wsum``, the sum of the partial sums
+
+def _expansion(coef, tail, a, b) -> _Expansion:
+    """The ``_Expansion`` of the coefficients ``coef(lo, hi)`` = t_lo .. t_hi
+    (1 <= lo <= hi <= SERIES_CAP) with exact tail ``tail``.
+
+    The scales s_l = t_l / P_l(1) (s_0 = 1, t_0 = 1) step by
+    s_l / s_{l-1} = (t_l / t_{l-1}) l / (a + l), since
+    P_l(1) / P_{l-1}(1) = (a + l) / l.  The ratios are formed from ``coef``
+    for the degrees the recurrence asks for, so an expansion keeps no array
+    of them while the angles of several expansions step together.
+    """
+    H = np.cumsum(coef(1, SERIES_CAP))
+
+    def ratio(lo, hi):
+        t = coef(max(lo - 1, 1), hi)
+        if lo == 1:
+            t = np.concatenate(([1.0], t))
+        ls = np.arange(lo, hi + 1, dtype=float)
+        return t[1:] / t[:-1] * (ls / (a + ls))
+
+    return _Expansion(ratio, {c: H[c - 1] + tail(c) for c in _CHECKPOINTS}, tail, a, b)
+
+
+def _sum_rows(block):
+    """The sum of the rows of a C-ordered 2-D block, added row after row in
+    every column.
+
+    np.add.reduce over axis 0 does that, except over a single column (or an
+    F-ordered block), which it sums pairwise.
+    """
+    if block.shape[1] == 1:
+        return np.add.accumulate(block[:, 0])[-1:]
+    return np.add.reduce(block, axis=0)
+
+
+def _add_rows(rows, lo, psum, wsum, first):
+    """Add the rows q_lo .. q_hi of a block to the running sums of the open
+    angles, in place, and return hi; ``first`` is the first degree of each
+    angle's window.
+
+    Both sums add the rows in order of degree, as one addition per degree
+    would: the block's row sums start from psum, and the angles whose window
+    holds a degree of the block (a prefix, since ``first`` ascends) form
+    their partial sums row by row, zero them before the window and add them
+    to wsum.
+    """
+    hi = lo + len(rows) - 1
+    rows[0] += psum
+    k = int(np.searchsorted(first, hi, side="right"))
+    if k:
+        head = rows[:, :k]
+        for prev, row in zip(head, head[1:]):
+            row += prev
+        psum[:k] = head[-1]
+        np.copyto(head, 0.0, where=np.arange(lo, hi + 1)[:, None] < first[:k])
+        head[0] += wsum[:k]
+        wsum[:k] = _sum_rows(head)
+    psum[k:] = _sum_rows(rows[:, k:])
+    return hi
+
+
+def _series_values(th, tols, group, terms):
+    """Series values at the ascending angles ``th``, by ``symdiff_series``'s
+    rules; NaN where an angle is not certified at the cap.
+
+    The angle ``th[i]`` sums the ``_Expansion`` ``terms[group[i]]``;
+    ``group`` is None for one expansion.
+
+    The recurrence steps q_l = t_l phi_l = s_l P_l, s_l = t_l / P_l(1), for
+    every open angle at once, in blocks of degrees that end at each
+    checkpoint.  Each open angle keeps two running sums: ``psum``, its
+    partial sum sum_{k <= m} q_k, and ``wsum``, the sum of the partial sums
     in the window of the next checkpoint l, degrees l - W + 1 .. l with
     W <= l // 2.  Each checkpoint at least doubles the one before, so every
     window opens after the previous checkpoint, where ``wsum`` was reset.
     The angles ascend, so their windows narrow and open later: the angles
-    whose window holds degree m are a prefix of the open ones.
+    whose window holds a degree of a block are a prefix of the open ones.
+    Both sums are updated once per block (``_add_rows``).
     """
     cap = SERIES_CAP
     winfull = _full_windows(th)
     osc_floor = 6.0 * 2 * math.pi / th
     psum = np.zeros(th.size)
     wsum = np.zeros(th.size)
-    cols = np.arange(th.size)  # position in the chunk of each open angle
-    vals = np.empty(th.size)
+    cols = np.arange(th.size)  # position in ``th`` of each open angle
+    vals = np.full(th.size, np.nan)
     consec = np.zeros(th.size, dtype=int)
     # NaN compares false, so no refinement counts as stable at the first checkpoint
     prev_vhat = np.full(th.size, np.nan)
-    rec = _JacobiRecurrence(a, b, np.cos(th))
-    pone = 1.0  # P_l(1)
+    if group is None:
+        (term,) = terms
+        rec = _JacobiRecurrence(term.a, term.b, np.cos(th), term.ratio)
+    else:
+        rec = _JacobiRecurrence([e.a for e in terms], [e.b for e in terms], np.cos(th),
+                                [e.ratio for e in terms], group)
+
+    def per_angle(fn, L):
+        """fn(expansion, L) of each open angle, for L a scalar or one per angle."""
+        if group is None:
+            return fn(terms[0], L)
+        out = np.empty(group.size)
+        for g, term in enumerate(terms):
+            sel = group == g
+            out[sel] = fn(term, L if np.ndim(L) == 0 else L[sel])
+        return out
+
     l = 0  # the last degree summed
     for checkpoint in _CHECKPOINTS:
         W = np.maximum(np.minimum(winfull, checkpoint // 2), 1)
@@ -236,36 +328,19 @@ def _series_chunk(th, t_l, H, tail_fn, tols, a, b):
         while l < checkpoint:
             # phi_0 = 1 drops out of 1 - phi_l, so the sum starts at degree 1,
             # where the recurrence starts
-            rows = rec.advance(checkpoint) if l else rec.p_cur[None].copy()
-            lo, l = l + 1, l + len(rows)
-            pones = []
-            for m in range(lo, l + 1):
-                pone = pone * (a + m) / m
-                pones.append(pone)
-            rows /= np.array(pones)[:, None]
-            rows *= t_l[lo - 1:l, None]
-            # the open angles whose window holds each degree of the block
-            ks = np.searchsorted(first, np.arange(lo, l + 1), side="right")
-            for row, k in zip(rows, ks.tolist()):
-                psum += row
-                if k:
-                    wsum[:k] += psum[:k]
-        vhat = H[l - 1] + tail_fn(l) - wsum / W
+            l = _add_rows(rec.advance(checkpoint) if l else rec.p_cur[None].copy(),
+                          l + 1, psum, wsum, first)
+        vhat = per_angle(lambda e, L: e.totals[L], l) - wsum / W
         step = np.abs(vhat - prev_vhat)
         stable = (step < tols / 4) & (l >= 625) & (l >= osc_floor)
         consec = np.where(stable, consec + 1, 0)
-        accept = (tail_fn(np.maximum(1, l - W)) < tols) | (stable & (consec >= 2))
+        tail = per_angle(lambda e, L: e.tail(L), np.maximum(1, l - W))
+        accept = (tail < tols) | (stable & (consec >= 2))
         if l == cap:
             accept |= step / 4 < tols / 2
-            if not accept.all():
-                k = np.flatnonzero(~accept)[0]
-                raise ConvergenceError(
-                    f"series did not certify tolerance {tols[k]:g} at theta="
-                    f"{th[k]:.6g} within {cap} terms"
-                )
         vals[cols[accept]] = vhat[accept]
         keep = np.flatnonzero(~accept)
-        if not keep.size:
+        if not keep.size or l == cap:
             break
         # accepted angles cost nothing from here on: the recurrence and every
         # per-angle array keep the open angles only, still in ascending order
@@ -274,7 +349,59 @@ def _series_chunk(th, t_l, H, tail_fn, tols, a, b):
         th, winfull, osc_floor, tols, cols = (th[keep], winfull[keep], osc_floor[keep],
                                               tols[keep], cols[keep])
         consec, prev_vhat = consec[keep], vhat[keep]
+        if group is not None:
+            group = group[keep]
     return vals
+
+
+def _symdiff_expansion(space) -> _Expansion:
+    """The symmetric-difference expansion of ``space``."""
+    table = expansion_coeffs(space)
+    inv_b = 1.0 / beta(space.d / 2, space.d0 / 2)
+    two_gamma = 2.0 * gamma_const(space)
+
+    def coef(lo, hi):  # t_l = m_l a_l / (l^2 B(d/2, d0/2))
+        ls = np.arange(lo, hi + 1, dtype=float)
+        return inv_b * table.m_l[lo - 1:hi] * table.a_l[lo - 1:hi] / ls**2
+
+    def tail(L):
+        return coeff_tail(space, L + 1) / two_gamma
+
+    return _expansion(coef, tail, space.d / 2 - 1, space.d0 / 2 - 1)
+
+
+def _symdiff_batch(jobs):
+    """``symdiff_series`` of several (space, theta, tol) jobs in one pass.
+
+    ``theta`` is a validated 1-D array of angles and ``tol`` an array of its
+    shape.  The nonzero angles of every job go through one
+    ``_series_values`` call in ascending order; each angle's value has the
+    bits it has when summed alone.  Returns, per job, its array of values,
+    or the ConvergenceError of its smallest angle not certified at the cap.
+    """
+    thetas = [theta for _, theta, _ in jobs]
+    group = np.concatenate([np.full(theta.size, g) for g, theta in enumerate(thetas)])
+    flat = np.concatenate(thetas)
+    tols = np.concatenate([tol for _, _, tol in jobs])
+    values = np.zeros_like(flat)
+    active = np.flatnonzero(flat > 0)
+    order = active[np.argsort(flat[active], kind="stable")]
+    if order.size:
+        terms = [_symdiff_expansion(space) for space, _, _ in jobs]
+        values[order] = _series_values(flat[order], tols[order],
+                                       None if len(jobs) == 1 else group[order], terms)
+    out = []
+    for g in range(len(jobs)):
+        mine = order[group[order] == g]  # the job's nonzero angles, ascending
+        failed = mine[np.isnan(values[mine])]
+        if failed.size:
+            k = failed[0]
+            out.append(ConvergenceError(
+                f"series did not certify tolerance {tols[k]:g} at theta="
+                f"{flat[k]:.6g} within {SERIES_CAP} terms"))
+        else:
+            out.append(values[group == g])
+    return out
 
 
 def symdiff_series(space: SpaceSpec, theta, tol=1e-8):
@@ -282,44 +409,34 @@ def symdiff_series(space: SpaceSpec, theta, tol=1e-8):
 
     Sums sum_l t_l (1 - phi_l(theta)), t_l = m_l a_l / (l^2 B(d/2, d0/2)),
     rearranged as [head + tail] - [window-averaged oscillatory part].
-    Accepts a scalar or an array of angles (``tol`` may then be a matching
-    array of per-angle absolute tolerances, checked by ``check_tol``); a
-    scalar ``theta`` gives a float.  Each angle is accepted by one of three
-    paths: a tail certificate (the coefficient tail beyond the averaging
-    window is below ``tol``), two consecutive stable refinements past the
-    oscillation floor, or a relaxed stability check at the hard term cap;
-    otherwise ``ConvergenceError`` is raised.  The radius measure is the
-    canonical sin(r) dr, whose coefficient tail is exact, so the first path
-    certifies ``tol``.  Near theta = 0 the attainable absolute accuracy at
-    the cap degrades like 1/theta^2, so very small angles need a
-    correspondingly relaxed tolerance.  The nonzero angles go through
-    ``_series_chunk`` in ascending order, at most ``_SERIES_MAX_ANGLES`` at
-    a time.
+    Accepts a scalar or an array of angles of any shape, and gives a float or
+    an array of that shape; ``tol`` may be an array of per-angle absolute
+    tolerances that broadcasts to it (checked by ``check_tol``).  Each angle
+    is accepted by one of three paths: a tail certificate (the coefficient
+    tail beyond the averaging window is below ``tol``), two consecutive
+    stable refinements past the oscillation floor, or a relaxed stability
+    check at the hard term cap; otherwise ``ConvergenceError`` is raised.
+    The radius measure is the canonical sin(r) dr, whose coefficient tail is
+    exact, so the first path certifies ``tol``.  Near theta = 0 the
+    attainable absolute accuracy at the cap degrades like 1/theta^2, so very
+    small angles need a correspondingly relaxed tolerance.  The angles go
+    through ``_symdiff_batch`` as one job.
     """
     tols = check_tol(tol)
-    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    thetas = np.asarray(theta, dtype=float)
     if not np.all((thetas >= 0) & (thetas <= math.pi + 1e-12)):
         raise DomainError("theta must lie in [0, pi]")
-    tols = np.broadcast_to(tols, thetas.shape)
-    table = expansion_coeffs(space)
-    ls = np.arange(1, SERIES_CAP + 1, dtype=float)
-    t_l = 1.0 / beta(space.d / 2, space.d0 / 2) * table.m_l * table.a_l / ls**2
-    H = np.cumsum(t_l)
-    two_gamma = 2.0 * gamma_const(space)
-
-    def tail_fn(L):
-        return coeff_tail(space, L + 1) / two_gamma
-
-    values = np.zeros_like(thetas)
-    active = np.flatnonzero(thetas > 0)
-    order = active[np.argsort(thetas[active])]
-    a, b = space.d / 2 - 1, space.d0 / 2 - 1
-    for start in range(0, order.size, _SERIES_MAX_ANGLES):
-        idx = order[start:start + _SERIES_MAX_ANGLES]
-        values[idx] = _series_chunk(thetas[idx], t_l, H, tail_fn, tols[idx], a, b)
-    if np.ndim(theta) == 0:
+    try:
+        tols = np.broadcast_to(tols, thetas.shape)
+    except ValueError:
+        raise DomainError(f"tol of shape {tols.shape} does not broadcast to theta's "
+                          f"shape {thetas.shape}") from None
+    (values,) = _symdiff_batch([(space, thetas.ravel(), tols.ravel())])
+    if isinstance(values, ConvergenceError):
+        raise values
+    if thetas.ndim == 0:
         return float(values[0])
-    return values
+    return values.reshape(thetas.shape)
 
 
 @cache

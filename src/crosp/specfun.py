@@ -296,66 +296,137 @@ def falling(a, k):
     return out
 
 
-# degrees one _JacobiRecurrence.advance computes at most
-_JACOBI_BLOCK = 64
+# entries (degrees times elements of t) one _JacobiRecurrence block holds at
+# most; a block also has at most 64 degrees.  64 x 2048 float64 entries are
+# 1 MB, which stays in a 2 MB L2 cache
+_BLOCK_ENTRIES = 64 * 2048
+
+
+def _scaled_coeffs(alpha, beta_, ratio, lo, hi):
+    """(A_n, B_n, C_n) of the scaled recurrence for degrees n = lo .. hi >= 2.
+
+    c1 .. c5 are the integer-valued coefficients of the recurrence
+    c1 P_n = c2 (c3 t + c4) P_{n-1} - c5 P_{n-2} (DLMF 18.9.2), exact in
+    float64 for alpha, beta in 1/2 N while they stay below 2^53 (up to degree
+    ~10^5); ``ratio(lo, hi)`` gives r_n = s_n / s_{n-1} for n = lo .. hi, and
+    None stands for s_n = 1.  With g = r_n / c1: A_n = g (c2 c3),
+    B_n = g (c2 c4), C_n = g r_{n-1} c5.
+    """
+    ab = alpha + beta_
+    m = np.arange(lo, hi + 1, dtype=float)
+    u = 2 * m + ab
+    v = u - 2
+    c1 = 2 * m * (m + ab) * v
+    c2 = u - 1
+    c5 = 2 * (m + alpha - 1) * (m + beta_ - 1) * u
+    if ratio is None:
+        g, r_prev = 1.0 / c1, 1.0
+    else:
+        r = ratio(lo - 1, hi)
+        g, r_prev = r[1:] / c1, r[:-1]
+    return g * (c2 * (u * v)), g * (c2 * (alpha * alpha - beta_ * beta_)), g * r_prev * c5
 
 
 class _JacobiRecurrence:
-    """P_n^{(alpha, beta)}(t) for an array t, a block of degrees at a time.
+    """Scaled Jacobi rows q_n = s_n P_n^{(alpha, beta)}(t) for an array t, a
+    block of degrees at a time.
 
-    The one three-term recurrence in crosp.  The state is the last two rows,
-    ``p_prev`` = P_{degree-1} and ``p_cur`` = P_degree, one entry per element of
-    ``t`` (an array of at least one dimension); it starts at degree 1.
-    ``compact`` keeps only some elements of t: each kept element then sees
-    exactly the operations it would have seen in a recurrence over the kept
-    elements alone, so its rows keep their bits.  The caller checks the domain.
+    The one three-term recurrence in crosp.  With r_n = s_n / s_{n-1}
+    (s_0 = 1), q_n = (A_n t + B_n) q_{n-1} - C_n q_{n-2}, with the per-degree
+    scalars of ``_scaled_coeffs``; B_n = 0 when alpha = beta, and its pass is
+    then skipped.  ``ratio`` is the function ``ratio(lo, hi)`` of
+    ``_scaled_coeffs``, or None for s_n = 1, the plain P_n.  The elements of
+    t may belong to several groups, each with its own alpha, beta and ratio:
+    ``group`` then gives the group of each element, and alpha, beta_ and
+    ratio hold one entry per group.  The state is the last two rows,
+    ``p_prev`` = q_{degree-1} and ``p_cur`` = q_degree, one entry per element
+    of ``t`` (an array of at least one dimension, of one dimension with
+    groups); it starts at degree 1.  Every operation is elementwise, so each
+    element's rows have the bits of a recurrence over that element alone.
+    ``compact`` keeps only some elements of t.  The caller checks the domain.
+
+    The coefficients are no longer exact: for the given ratios, A_n and B_n
+    are rounded twice and C_n at most three times, so each lies within 3u
+    of its exact value, u = 2^-53.  A row of degree n then carries an error
+    of order n u relative to the largest |q_n| on [-1, 1], as the forward
+    recurrence does in the oscillatory range (Gautschi, SIAM Rev. 9, 1967):
+    against mpmath, phi_l = q_l / t_l of the series is within 1.3e-12 up to
+    l = 10^4 on every catalog space (tests/test_harmonic.py).
     """
 
-    def __init__(self, alpha, beta_, t):
-        self.alpha, self.beta = alpha, beta_
+    def __init__(self, alpha, beta_, t, ratio=None, group=None):
         self.t = np.asarray(t, dtype=float)
+        if group is None:
+            alpha, beta_, ratio = [alpha], [beta_], [ratio]
+        self.params = list(zip(alpha, beta_, ratio))
+        self.group = group
+        self.skip_b = all(a == b for a, b, _ in self.params)
         self.degree = 1
+        self._table = None
         self.p_prev = np.ones_like(self.t)
-        self.p_cur = (alpha + 1) + (alpha + beta_ + 2) * (self.t - 1) / 2
+        # q_1 = r_1 P_1, P_1 = (alpha + 1) + (alpha + beta + 2) (t - 1) / 2
+        alphas, betas, ratios = zip(*self.params)
+        a, b = self._per_element(alphas), self._per_element(betas)
+        self.p_cur = (a + 1) + (a + b + 2) * (self.t - 1) / 2
+        if any(r is not None for r in ratios):
+            self.p_cur *= self._per_element([1.0 if r is None else r(1, 1)[0] for r in ratios])
+
+    def _per_element(self, values):
+        """One value per group, as a scalar (one group) or an array over t."""
+        if self.group is None:
+            return values[0]
+        return np.asarray(values, dtype=float)[self.group]
+
+    def _coeffs(self, lo, hi, stop):
+        """A, B, C of degrees lo .. hi, one column per group, from a table of
+        degrees lo .. stop kept until a block leaves it."""
+        if self._table is None or not (self._table[0] <= lo and hi <= self._table[1]):
+            stop = min(stop, lo + 1023)  # a table spans at most 1024 degrees
+            cols = [_scaled_coeffs(a, b, r, lo, stop) for a, b, r in self.params]
+            self._table = (lo, stop, [np.stack(c, axis=1) for c in zip(*cols)])
+        first, _, tabs = self._table
+        return [tab[lo - first:hi - first + 1] for tab in tabs]
 
     def advance(self, limit=None):
-        """Rows P_{degree+1} .. P_stop, one per degree, stacked along a new axis 0.
+        """Rows q_{degree+1} .. q_stop, one per degree, stacked along a new axis 0.
 
-        stop is degree + _JACOBI_BLOCK, or ``limit`` if that comes first; a
-        limit at or below the current degree is an error.  The factor
-        c2 (c3 t + c4) of every degree is formed at once; each degree then
-        multiplies it in place by P_{m-1}, subtracts c5 P_{m-2} and divides by
-        c1, the operations of the scalar recurrence in its order.  The
-        coefficients are float64 vectors formed in the order of the scalar
-        formulas (for integer alpha and beta they are exact while they stay
-        below 2^53, up to degree ~10^5).  The returned rows belong to the
-        caller.
+        stop is the last degree of a block of at most 64 degrees and
+        _BLOCK_ENTRIES entries, or ``limit`` if that comes first; a limit at
+        or below the current degree is an error.  The row A_n t + B_n of
+        every degree is formed at once; each degree then multiplies it in
+        place by q_{n-1} and subtracts C_n q_{n-2}, formed in a kept buffer.
+        With groups, each element reads the coefficients of its group.  The
+        returned rows belong to the caller.
         """
         lo = self.degree + 1
-        hi = lo + _JACOBI_BLOCK - 1
+        # with groups, a block also holds B and C per element
+        entries = self.t.size * (1 if self.group is None else 3)
+        hi = lo + max(1, min(64, _BLOCK_ENTRIES // max(entries, 1))) - 1
         if limit is not None:
             if limit < lo:
                 raise ValueError(f"advance: limit {limit} is not above degree {self.degree}")
             hi = min(hi, limit)
-        alpha, beta_ = self.alpha, self.beta
-        ab = alpha + beta_
-        m = np.arange(lo, hi + 1, dtype=float)
-        u = 2 * m + ab
-        v = u - 2
-        c1 = (2 * m * (m + ab) * v).tolist()
-        c2 = u - 1
-        c3 = u * v
-        c4 = alpha * alpha - beta_ * beta_
-        c5 = (2 * (m + alpha - 1) * (m + beta_ - 1) * u).tolist()
-        rows = np.multiply.outer(c3, self.t)
-        rows += c4
-        rows *= c2.reshape((-1,) + (1,) * self.t.ndim)
+        A, B, C = self._coeffs(lo, hi, hi if limit is None else limit)
+        if self.group is None:
+            shape = (-1,) + (1,) * self.t.ndim
+            rows = A.reshape(shape) * self.t
+            if not self.skip_b:
+                rows += B.reshape(shape)
+            C = C[:, 0].tolist()
+        else:
+            # np.take keeps the rows C-ordered, as the callers' row sums need
+            rows = np.take(A, self.group, axis=1)
+            rows *= self.t
+            if not self.skip_b:
+                rows += np.take(B, self.group, axis=1)
+            C = np.take(C, self.group, axis=1)
+        tmp = np.empty_like(self.p_cur)
         # each row is a view, stepped in place
         p_prev, p_cur = self.p_prev, self.p_cur
-        for row, c5m, c1m in zip(rows, c5, c1):
+        for row, c in zip(rows, C):
             row *= p_cur
-            row -= c5m * p_prev
-            row /= c1m
+            np.multiply(p_prev, c, out=tmp)
+            row -= tmp
             p_prev, p_cur = p_cur, row
         self.degree = hi
         self.p_prev, self.p_cur = p_prev.copy(), p_cur.copy()
@@ -366,6 +437,8 @@ class _JacobiRecurrence:
         self.t = self.t[keep]
         self.p_prev = self.p_prev[keep]
         self.p_cur = self.p_cur[keep]
+        if self.group is not None:
+            self.group = self.group[keep]
 
 
 def _jacobi_row(n, alpha, beta_, t):

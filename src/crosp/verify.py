@@ -320,27 +320,29 @@ def verify_invariance(space: SpaceSpec, n_points: int = 100,
     )
 
 
-def _grid_and_diameter(space):
-    """symdiff_series on verify_pointwise's grid and at pi in one pass.
+def _grids_and_diameters(spaces_):
+    """symdiff_series on verify_pointwise's grid and at pi, for every space
+    in one pass: {space: (grid values, diameter)}.
 
     Each angle keeps the tolerance of its own report (tol / gamma on the
     grid, _DIAMETER_TOL at pi), and the series engine gives every angle the
     bits it has when summed alone, so both reports equal those of the
-    separate suites.  If the pass fails, (None, None): each report then
-    evaluates, and reports, its own series.
+    separate suites.  A space whose series fails gets (None, None): each of
+    its reports then evaluates, and reports, its own series.
     """
     thetas = np.append(np.linspace(0.0, math.pi, _GRID_SIZE), math.pi)
-    tols = np.full(thetas.size, _POINTWISE_TOL / spaces.gamma_const(space))
-    tols[-1] = _DIAMETER_TOL
-    try:
-        values = harmonic.symdiff_series(space, thetas, tol=tols)
-    except CrospError:
-        return None, None
-    return values[:-1], float(values[-1])
+    jobs = []
+    for space in spaces_:
+        tols = np.full(thetas.size, _POINTWISE_TOL / spaces.gamma_const(space))
+        tols[-1] = _DIAMETER_TOL
+        jobs.append((space, thetas, tols))
+    return {space: ((None, None) if isinstance(values, CrospError)
+                    else (values[:-1], float(values[-1])))
+            for space, values in zip(spaces_, harmonic._symdiff_batch(jobs))}
 
 
 def _all_suite(seed):
-    series = {space: _grid_and_diameter(space) for space in catalog()}
+    series = _grids_and_diameters(catalog())
     reports = [verify_pointwise(space, series=grid) for space, (grid, _) in series.items()]
     for name in ("chain", "integral", "polysum", "watson"):
         reports += run_suite(name)

@@ -8,8 +8,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crosp import harmonic
+from crosp import harmonic, specfun
 from crosp.errors import ConvergenceError, DomainError
 from crosp.harmonic import (
     SERIES_CAP,
@@ -25,7 +27,8 @@ from crosp.harmonic import (
     radial_weight,
     symdiff_series,
 )
-from crosp.spaces import avg_chordal, gamma_const, parse_space
+from crosp.discrepancy import discrepancy_series
+from crosp.spaces import avg_chordal, gamma_const, parse_space, sample_uniform
 from crosp.specfun import (_JacobiRecurrence, _jacobi_row, beta, gauss_jacobi, jacobi_at_one,
                            rising)
 
@@ -285,6 +288,14 @@ def _chordal_coeffs(space):
     return 0.5 * harmonic._level_weight(space, ls) * np.exp(harmonic._log_chordal_coeff(space, ls))
 
 
+def _symdiff_coeffs(space):
+    """t_l = m_l a_l / (l^2 B(d/2, d0/2)) for l = 1 .. SERIES_CAP, the
+    coefficients of the symmetric-difference expansion."""
+    table = expansion_coeffs(space)
+    ls = np.arange(1, SERIES_CAP + 1, dtype=float)
+    return table.m_l * table.a_l / (ls**2 * beta(space.d / 2, space.d0 / 2))
+
+
 def _chordal_head(space, theta):
     """sum_{l <= SERIES_CAP} m_l c_l (1 - phi_l(theta)), degree by degree."""
     a, b = space.d / 2 - 1, space.d0 / 2 - 1
@@ -335,11 +346,11 @@ class TestSeries:
         assert symdiff_series(space, np.array([th]))[0] == symdiff_series(space, th)
         # each value depends on its own angle only: 600 angles on [0.05, pi]
         # and 120 small ones, whose windows span thousands of degrees, are
-        # shuffled together.  With 256 angles a chunk they fill three chunks,
-        # and every value must equal, bit for bit, the angle evaluated alone.
-        # Every tenth of the 600 asks for 1e-5, which the tail cannot certify
-        # within the cap, so the stable-refinement path is exercised as well
-        # as the tail path.
+        # shuffled together.  In blocks of at most 2560 entries (three
+        # degrees while all 720 are open) every value must equal, bit for
+        # bit, the angle evaluated alone.  Every tenth of the 600 asks for
+        # 1e-5, which the tail cannot certify within the cap, so the
+        # stable-refinement path is exercised as well as the tail path.
         space = parse_space("cp2")
         rng = np.random.default_rng(7)
         perm = rng.permutation(720)
@@ -347,7 +358,7 @@ class TestSeries:
                                  np.geomspace(1.2e-3, 4e-3, 120)])[perm]
         tols = np.concatenate([np.where(np.arange(600) % 10 == 0, 1e-5, 1e-3),
                                np.full(120, 1e-3)])[perm]
-        monkeypatch.setattr(harmonic, "_SERIES_MAX_ANGLES", 256)
+        monkeypatch.setattr(specfun, "_BLOCK_ENTRIES", 2560)
         together = symdiff_series(space, thetas, tols)
         alone = [symdiff_series(space, th, tol) for th, tol in zip(thetas, tols)]
         assert np.array_equal(together, alone)
@@ -366,6 +377,22 @@ class TestSeries:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+    def test_memory_of_a_150_point_set(self):
+        # the 11,175 pair angles of a 150-point s2 set step together in
+        # blocks of at most _BLOCK_ENTRIES entries: the traced peak stays at
+        # or below the 5,561,170 bytes of the engine that summed them in
+        # chunks of 4096 angles with 64-degree blocks
+        s2 = parse_space("s2")
+        pts = sample_uniform(s2, 150, np.random.default_rng(1))
+        discrepancy_series(s2, pts)  # builds the cached table
+        tracemalloc.start()
+        try:
+            discrepancy_series(s2, pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5_561_170
 
     def test_windows_stay_past_the_previous_checkpoint(self):
         # a window at checkpoint c spans at most c // 2 degrees, so the one
@@ -390,26 +417,53 @@ class TestSeries:
             symdiff_series(parse_space("s2"), np.array([0.5, math.nan]))
         with pytest.raises(DomainError):
             symdiff_series(parse_space("s2"), 1.0, tol=math.nan)
+        # a tol that does not broadcast to theta's shape
+        with pytest.raises(DomainError):
+            symdiff_series(parse_space("s2"), [0.5, 1, 2], tol=[1e-8, 1e-8])
+        with pytest.raises(DomainError):
+            symdiff_series(parse_space("s2"), [0.5, 1], tol=[[1e-8], [1e-8]])
+
+    def test_array_of_any_shape(self):
+        # theta of any shape gives values of that shape, each the value of
+        # its angle; tol broadcasts to it
+        s2 = parse_space("s2")
+        thetas = np.array([[0.0, 0.5, 1.0], [2.0, math.pi, 0.25]])
+        tols = np.array([[1e-8], [1e-6]])
+        values = symdiff_series(s2, thetas, tol=tols)
+        assert values.shape == thetas.shape
+        assert np.array_equal(values.ravel(),
+                              symdiff_series(s2, thetas.ravel(), np.repeat(tols.ravel(), 3)))
+        assert symdiff_series(s2, thetas[:0]).shape == (0, 3)
 
 
 # ---------------------------------------------------------------------------
 # the series engine against a per-degree reference loop
 #
-# Every degree is one step of the generator below and one update of the
-# running sums of every angle, open or not, and each window is defined
-# directly: the sum of the partial sums of the W degrees that end on its
-# checkpoint.  The engine advances the recurrence in blocks, drops accepted
-# angles at each checkpoint and adds to the window sums of a prefix of the
-# sorted angles only; it must reproduce this loop bit for bit, because each
-# kept angle sees the same elementwise operations in the same order.  Values
-# are compared against the loop run on the same CPU, not against stored
-# hashes, since numpy's cos may round differently by one ulp on another CPU.
+# Every degree is one step of the generator below, in scalar formulas, and
+# one update of the running sums of every angle, open or not, and each window
+# is defined directly: the sum of the partial sums of the W degrees that end
+# on its checkpoint.  Each expansion's angles go through the loop on their
+# own.  The engine steps all open angles of all expansions together, in
+# blocks of degrees with one update of the running sums per block, drops
+# accepted angles at each checkpoint and adds to the window sums of a prefix
+# of the sorted angles only; it must reproduce this loop bit for bit,
+# because each angle sees the same elementwise operations in the same order.
+# Values are compared against the loop run on the same CPU, not against
+# stored hashes, since numpy's cos may round differently by one ulp on
+# another CPU.
 
 
-def _reference_jacobi_rows(alpha, beta_, t):
+def _reference_jacobi_rows(alpha, beta_, t, ratio=None):
+    """q_0, q_1, q_2, ... with q_n = s_n P_n^{(alpha, beta)}(t), ratio[n] =
+    s_n / s_{n-1} (an array; s_0 = 1; None for s_n = 1), one degree at a time."""
+    def r(n):
+        return 1.0 if ratio is None else float(ratio[n])
+
     p_prev = np.ones_like(t, dtype=float) if np.ndim(t) else 1.0
     yield p_prev
-    p_cur = (alpha + 1) + (alpha + beta_ + 2) * (t - 1) / 2
+    p_cur = ((alpha + 1) + (alpha + beta_ + 2) * (t - 1) / 2)
+    if ratio is not None:
+        p_cur = p_cur * r(1)
     yield p_cur
     ab = alpha + beta_
     c4 = alpha * alpha - beta_ * beta_
@@ -418,60 +472,63 @@ def _reference_jacobi_rows(alpha, beta_, t):
         c2 = 2 * m + ab - 1
         c3 = (2 * m + ab) * (2 * m + ab - 2)
         c5 = 2 * (m + alpha - 1) * (m + beta_ - 1) * (2 * m + ab)
-        p_prev, p_cur = p_cur, (c2 * (c3 * t + c4) * p_cur - c5 * p_prev) / c1
+        g = r(m) / c1
+        row = g * (c2 * c3) * t
+        if alpha != beta_:
+            row = row + g * (c2 * c4)
+        p_prev, p_cur = p_cur, row * p_cur - g * r(m - 1) * c5 * p_prev
         yield p_cur
 
 
-def _recurrence_rows(alpha, beta_, t):
-    """P_0, P_1, P_2, ... from ``_JacobiRecurrence``, a block of degrees at a time."""
-    rec = _JacobiRecurrence(alpha, beta_, t)
+def _ratio_fn(ratio):
+    """An array of ratios r_n as the function ratio(lo, hi) the recurrence reads."""
+    return None if ratio is None else lambda lo, hi: ratio[lo:hi + 1]
+
+
+def _recurrence_rows(alpha, beta_, t, ratio=None, group=None):
+    """q_0, q_1, q_2, ... from ``_JacobiRecurrence``, a block of degrees at a
+    time; ``ratio`` is an array (one per group with groups)."""
+    ratio = [_ratio_fn(r) for r in ratio] if group is not None else _ratio_fn(ratio)
+    rec = _JacobiRecurrence(alpha, beta_, t, ratio, group)
     yield rec.p_prev
     yield rec.p_cur
     while True:
         yield from rec.advance()
 
 
-def _reference_series_chunk(th, t_l, H, tail_fn, tols, a, b):
+def _reference_one_expansion(th, tols, e):
     cap = SERIES_CAP
     n = th.size
     winfull = harmonic._full_windows(th)
     osc_floor = 6.0 * 2 * math.pi / th
     psum = np.zeros(n)
     is_open = np.ones(n, dtype=bool)
-    vals = np.empty(n)
+    vals = np.full(n, np.nan)
     consec = np.zeros(n, dtype=int)
     prev_vhat = np.full(n, np.nan)
-    rows = _reference_jacobi_rows(a, b, np.cos(th))
+    rows = _reference_jacobi_rows(e.a, e.b, np.cos(th), np.append(1.0, e.ratio(1, cap)))
     next(rows)
-    pone = 1.0
     checkpoints = iter(harmonic._CHECKPOINTS)
     checkpoint = 0
-    for l, p in zip(range(1, cap + 1), rows):
+    for l, q in zip(range(1, cap + 1), rows):
         if l > checkpoint:
             # the window of the next checkpoint: the partial sums of its last W degrees
             checkpoint = next(checkpoints)
             W = np.maximum(np.minimum(winfull, checkpoint // 2), 1)
             wsum = np.zeros(n)
-        pone = pone * (a + l) / l
-        psum = psum + t_l[l - 1] * (p / pone)
+        psum = psum + q
         wsum = np.where(l > checkpoint - W, wsum + psum, wsum)
         if l < checkpoint:
             continue
         j = np.flatnonzero(is_open)
         tol = tols[j]
-        vhat = H[l - 1] + tail_fn(l) - wsum[j] / W[j]
+        vhat = e.totals[l] - wsum[j] / W[j]
         step = np.abs(vhat - prev_vhat[j])
         stable = (step < tol / 4) & (l >= 625) & (l >= osc_floor[j])
         consec[j] = np.where(stable, consec[j] + 1, 0)
-        accept = (tail_fn(np.maximum(1, l - W[j])) < tol) | (stable & (consec[j] >= 2))
+        accept = (e.tail(np.maximum(1, l - W[j])) < tol) | (stable & (consec[j] >= 2))
         if l == cap:
             accept |= step / 4 < tol / 2
-            if not accept.all():
-                k = np.flatnonzero(~accept)[0]
-                raise ConvergenceError(
-                    f"series did not certify tolerance {tol[k]:g} at theta="
-                    f"{th[j[k]]:.6g} within {cap} terms"
-                )
         vals[j[accept]] = vhat[accept]
         is_open[j[accept]] = False
         prev_vhat[j] = vhat
@@ -480,12 +537,32 @@ def _reference_series_chunk(th, t_l, H, tail_fn, tols, a, b):
     return vals
 
 
+def _reference_series_values(th, tols, group, terms):
+    vals = np.empty(th.size)
+    groups = np.zeros(th.size, dtype=int) if group is None else group
+    for g, e in enumerate(terms):
+        sel = groups == g
+        vals[sel] = _reference_one_expansion(th[sel], tols[sel], e)
+    return vals
+
+
 def _with_reference_loop(monkeypatch, series, *args, **kwargs):
     """(engine value, reference value) of one series call."""
     value = series(*args, **kwargs)
     with monkeypatch.context() as mp:
-        mp.setattr(harmonic, "_series_chunk", _reference_series_chunk)
+        mp.setattr(harmonic, "_series_values", _reference_series_values)
         return value, series(*args, **kwargs)
+
+
+def _same_outcomes(got, want):
+    """Per job, the same values bit for bit, or the same ConvergenceError."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, ConvergenceError):
+            assert isinstance(g, ConvergenceError) and str(g) == str(w)
+        else:
+            assert not isinstance(g, ConvergenceError), g
+            assert np.array_equal(g, w)
 
 
 GRID = np.linspace(0, math.pi, 181)
@@ -501,15 +578,17 @@ class TestSeriesMatchesPerDegreeLoop:
 
     @pytest.mark.parametrize("code", ALL_CODES)
     def test_chordal_grid(self, monkeypatch, code):
-        # the engine takes its coefficients as arguments: here the chordal
-        # ones, with their exact tail, on the nonzero angles of the grid
+        # the engine takes its expansion as an argument: here the chordal
+        # one, with its exact tail, on the nonzero angles of the grid
         space = parse_space(code)
         t_l = _chordal_coeffs(space)
+        chordal = harmonic._expansion(lambda lo, hi: t_l[lo - 1:hi],
+                                      lambda L: 0.5 * coeff_tail(space, L + 1),
+                                      space.d / 2 - 1, space.d0 / 2 - 1)
 
         def chordal_by_engine():
-            return harmonic._series_chunk(
-                GRID[1:], t_l, np.cumsum(t_l), lambda L: 0.5 * coeff_tail(space, L + 1),
-                np.full(GRID.size - 1, 1e-8), space.d / 2 - 1, space.d0 / 2 - 1)
+            return harmonic._series_values(GRID[1:], np.full(GRID.size - 1, 1e-8), None,
+                                           [chordal])
 
         value, reference = _with_reference_loop(monkeypatch, chordal_by_engine)
         assert np.array_equal(value, reference)
@@ -520,32 +599,124 @@ class TestSeriesMatchesPerDegreeLoop:
             monkeypatch, symdiff_series, parse_space(code), math.pi, tol=1e-10)
         assert value == reference
 
-    def test_shuffled_angles_over_chunks(self, monkeypatch):
+    def test_shuffled_angles_in_small_blocks(self, monkeypatch):
         # 1800 angles at 1e-8 and 200 small ones at 1e-3, whose windows span
-        # thousands of degrees, over eight chunks of 256 angles
+        # thousands of degrees, in blocks of at most 256 entries: one degree
+        # while more than 128 angles are open
         rng = np.random.default_rng(11)
         perm = rng.permutation(2000)
         thetas = np.concatenate([rng.uniform(0.05, math.pi, 1800),
                                  np.geomspace(1.2e-3, 4e-3, 200)])[perm]
         tols = np.concatenate([np.full(1800, 1e-8), np.full(200, 1e-3)])[perm]
-        monkeypatch.setattr(harmonic, "_SERIES_MAX_ANGLES", 256)
+        monkeypatch.setattr(specfun, "_BLOCK_ENTRIES", 256)
         value, reference = _with_reference_loop(
             monkeypatch, symdiff_series, parse_space("s2"), thetas, tol=tols)
         assert np.array_equal(value, reference)
+
+    def test_every_catalog_grid_in_one_call(self, monkeypatch):
+        # verify all's batch: the seven grids and diameters, each with its
+        # own tolerances, and one job that fails at the cap on its own
+        jobs = [(parse_space(code), np.append(GRID, math.pi),
+                 np.append(np.full(GRID.size, 1e-8 / gamma_const(parse_space(code))), 1e-10))
+                for code in ALL_CODES]
+        jobs.append((parse_space("s1"), np.array([0.02, 1.0]), np.array([1e-13, 1e-8])))
+        value, reference = _with_reference_loop(monkeypatch, harmonic._symdiff_batch, jobs)
+        assert isinstance(value[-1], ConvergenceError)
+        _same_outcomes(value, reference)
 
     @pytest.mark.parametrize("alpha, beta_", [(1.5, 0.5), (0, 0), (1, 2), (-0.5, 0.0),
                                               (7.0, 3.5)])
     def test_jacobi_rows(self, alpha, beta_):
         # an array and single points against the scalar reference, integer
-        # and half-integer parameters, across several blocks of degrees
+        # and half-integer parameters, across several blocks of degrees,
+        # unscaled and scaled
         ts = np.linspace(-1, 1, 37)
-        for row, ref in zip(itertools.islice(_recurrence_rows(alpha, beta_, ts), 300),
-                            _reference_jacobi_rows(alpha, beta_, ts)):
-            assert np.array_equal(row, ref)
-        for t in ts[::6]:
-            rows = itertools.islice(_recurrence_rows(alpha, beta_, np.array([t])), 140)
-            assert [float(row[0]) for row in rows] == list(itertools.islice(
-                _reference_jacobi_rows(alpha, beta_, float(t)), 140))
+        ratio = np.random.default_rng(5).uniform(0.5, 1.5, 1000)
+        for r in (None, ratio):
+            for row, ref in zip(itertools.islice(_recurrence_rows(alpha, beta_, ts, r), 300),
+                                _reference_jacobi_rows(alpha, beta_, ts, r)):
+                assert np.array_equal(row, ref)
+            for t in ts[::6]:
+                rows = itertools.islice(_recurrence_rows(alpha, beta_, np.array([t]), r), 140)
+                assert [float(row[0]) for row in rows] == list(itertools.islice(
+                    _reference_jacobi_rows(alpha, beta_, float(t), r), 140))
+
+    def test_grouped_jacobi_rows(self):
+        # elements of several groups, each with its own parameters and
+        # scales, get the rows of their group's scalar reference
+        ts = np.cos(np.linspace(0.01, math.pi, 40))
+        rng = np.random.default_rng(3)
+        params = [(0.0, 0.0), (1.5, 0.5), (7.0, 3.0)]
+        ratios = [rng.uniform(0.5, 1.5, 1000) for _ in params]
+        group = rng.integers(0, len(params), ts.size)
+        rows = list(itertools.islice(
+            _recurrence_rows([a for a, _ in params], [b for _, b in params], ts, ratios,
+                             group), 300))
+        for i, t in enumerate(ts):
+            (a, b), r = params[group[i]], ratios[group[i]]
+            assert [float(row[i]) for row in rows] == list(itertools.islice(
+                _reference_jacobi_rows(a, b, float(t), r), 300))
+
+
+_catalog_spaces = st.sampled_from(ALL_CODES)
+# zero, small angles whose windows span thousands of degrees, the antipode
+# and angles between
+_angles = st.one_of(st.just(0.0), st.floats(1.2e-3, 4e-3), st.just(math.pi),
+                    st.floats(0.05, math.pi))
+_tols = st.sampled_from([1e-3, 1e-5, 1e-8])
+
+
+@settings(max_examples=8, deadline=None)
+@given(jobs=st.lists(st.tuples(_catalog_spaces, st.lists(st.tuples(_angles, _tols),
+                                                         min_size=1, max_size=3)),
+                     min_size=1, max_size=3),
+       one_degree=st.booleans())
+def test_batch_equals_each_angle_alone(jobs, one_degree):
+    # the angles of several spaces in one call, in blocks of the default
+    # size or of one degree, have the bits (or the failure) of each angle
+    # evaluated alone
+    batch = [(parse_space(code), np.array([th for th, _ in pairs]),
+              np.array([tol for _, tol in pairs])) for code, pairs in jobs]
+    alone = []
+    for space, thetas, tols in batch:
+        values, errors = np.empty(thetas.size), []
+        # a failed job reports its smallest failing angle, the first in order
+        for i in sorted(range(thetas.size), key=lambda i: thetas[i]):
+            try:
+                values[i] = symdiff_series(space, thetas[i], tols[i])
+            except ConvergenceError as exc:
+                errors.append(exc)
+        alone.append(errors[0] if errors else values)
+    with pytest.MonkeyPatch.context() as mp:
+        if one_degree:
+            mp.setattr(specfun, "_BLOCK_ENTRIES", 1)
+        _same_outcomes(harmonic._symdiff_batch(batch), alone)
+
+
+class TestScaledRowsAgainstMpmath:
+    def test_high_degrees(self):
+        # phi_l = q_l / t_l from the scaled recurrence the series steps, at
+        # l = 1250, 5000 and 10^4 and four angles per catalog space, near 0
+        # and near pi, against mpmath at 30 digits at the same rounded
+        # cosine.  The worst error, 1.3e-12 (s1, l = 5000), moves a series
+        # value by at most that times sum t_l < 1, far below the 1e-8
+        # tolerances; the unscaled rows P_l / P_l(1) reached 3.3e-12
+        mpmath.mp.dps = 30
+        degrees = (1250, 5000, SERIES_CAP)
+        thetas = np.array([2e-3, 0.05, math.pi - 0.05, math.pi - 2e-3])
+        worst = 0.0
+        for code in ALL_CODES:
+            space = parse_space(code)
+            e = harmonic._symdiff_expansion(space)
+            t_l = _symdiff_coeffs(space)
+            rec = _JacobiRecurrence(e.a, e.b, np.cos(thetas), e.ratio)
+            for l in degrees:
+                while rec.degree < l:
+                    rec.advance(l)
+                for t, phi in zip(np.cos(thetas), rec.p_cur / t_l[l - 1]):
+                    ref = mpmath.jacobi(l, e.a, e.b, mpmath.mpf(t)) / mpmath.binomial(l + e.a, l)
+                    worst = max(worst, abs(float(phi - ref)))
+        assert worst < 1e-11
 
 
 class TestAvgSymdiff:

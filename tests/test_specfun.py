@@ -24,7 +24,6 @@ from crosp.specfun import (
     rising,
     signed_log_gamma,
     watson_rhs,
-    _JACOBI_BLOCK,
     _JacobiRecurrence,
     _jacobi_row,
 )
@@ -379,12 +378,14 @@ class TestJacobi:
             assert np.array_equal(rec.advance(312), fresh.advance(312))
         assert fresh.degree == 312
 
-    def test_blocks_end_at_the_limit(self):
+    def test_blocks_end_at_the_limit(self, monkeypatch):
+        # a block holds at most _BLOCK_ENTRIES entries: 50 degrees of 4 points
+        monkeypatch.setattr(specfun, "_BLOCK_ENTRIES", 4 * 50)
         rec = _JacobiRecurrence(0.5, 0.0, np.linspace(-1, 1, 4))
         sizes = []
         while rec.degree < 156:
             sizes.append(len(rec.advance(156)))
-        assert sizes == [_JACOBI_BLOCK, _JACOBI_BLOCK, 155 - 2 * _JACOBI_BLOCK]
+        assert sizes == [50, 50, 50, 5]
         # a limit at or below the current degree would leave the state behind
         with pytest.raises(ValueError):
             rec.advance(156)

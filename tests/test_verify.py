@@ -225,5 +225,22 @@ def test_all_equals_the_single_suites():
     assert [r.to_dict() for r in merged] == [r.to_dict() for r in singles]
 
 
+def test_one_failing_series_leaves_the_other_reports_alone(monkeypatch):
+    # hp2's grid tolerance made unreachable (gamma a million times larger):
+    # its part of verify all's one series call fails at the cap, its two
+    # reports evaluate their own series, and every pointwise and constants
+    # report still equals, field for field, the one its own suite gives
+    gamma_const = verify.spaces.gamma_const
+    monkeypatch.setattr(verify.spaces, "gamma_const", lambda space: gamma_const(space)
+                        * (1e6 if space.code == "hp2" else 1.0))
+    singles = run_suite("pointwise", seed=0) + run_suite("constants", seed=0)
+    merged = [r for r in run_suite("all", seed=0)
+              if r.identity in ("pointwise-metric-identity", "constants-ratio")]
+    assert [r.to_dict() for r in merged] == [r.to_dict() for r in singles]
+    failed = [r.grid for r in merged if not r.passed]
+    assert failed == ["space=hp2, 181 angles on [0, pi]", "space=hp2"]
+    assert merged[5].failures[0].startswith("series evaluation failed: series did not certify")
+
+
 def test_catalog_has_seven_spaces():
     assert [s.code for s in catalog()] == ALL_CODES
